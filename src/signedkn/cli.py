@@ -18,6 +18,7 @@ from pathlib import Path
 from .balance import bipartition, find_negative_triangle, is_balanced
 from .errors import SignedKnError
 from .graphs import (
+    PruferSequence,
     Tree,
     canonical_code,
     format_prufer,
@@ -37,6 +38,7 @@ from .search import (
     enumerate_tree_classes,
     report_to_csv,
     report_to_json,
+    tree_index,
     verify_max_index,
 )
 from .spectra import spectrum_of
@@ -192,16 +194,12 @@ def _cmd_verify(args) -> int:
         ]
         for c in r.classes:
             mark = " *" if c.is_argmax else ""
+            prufer = format_prufer(PruferSequence(r.n, c.prufer))
             lines.append(
-                f"  {c.canonical_code} prufer={format_prufer_tuple(c.prufer)} "
-                f"lambda1={c.lambda1!r}{mark}"
+                f"  {c.canonical_code} prufer={prufer} lambda1={c.lambda1!r}{mark}"
             )
         _emit("\n".join(lines) + "\n", args.out)
     return 2 if _report_discovery(r) else 0
-
-
-def format_prufer_tuple(symbols: tuple[int, ...]) -> str:
-    return ",".join(str(s) for s in symbols)
 
 
 def _cmd_sweep(args) -> int:
@@ -269,7 +267,7 @@ def _cmd_climb(args) -> int:
         "start_prufer": format_prufer(prufer_encode(start)),
         "final_prufer": format_prufer(prufer_encode(final)),
         "final_code": canonical_code(final).code,
-        "final_lambda1": tree_lambda(final),
+        "final_lambda1": tree_index(final),
         "steps": len(trace),
     }
     if args.format == "json":
@@ -292,10 +290,6 @@ def _cmd_climb(args) -> int:
         )
         _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def tree_lambda(t: Tree) -> float:
-    return spectrum_of(signed_complete_from_tree(t)).lambda1
 
 
 def _cmd_enumerate(args) -> int:

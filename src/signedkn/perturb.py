@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StaleEigenvectorError
-from .graphs import SignedCompleteGraph, Tree, leaf_count, signed_complete_from_tree
+from .graphs import SignedCompleteGraph, Tree, leaf_count
+from .search import tree_index
 from .spectra import DEGENERATE_TOL, adjacency_matrix, eigen_decompose
 
 KINDS = ("type_i", "type_ii")
@@ -200,11 +201,6 @@ def trace_to_jsonl(trace: list[ClimbStep]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _tree_lambda1(t: Tree) -> float:
-    s = eigen_decompose(adjacency_matrix(signed_complete_from_tree(t)), False)
-    return float(s.values[0])
-
-
 def _tree_path(adj: dict[int, list[int]], c: int, d: int) -> list[int]:
     parent = {c: c}
     queue = [c]
@@ -280,12 +276,12 @@ def hill_climb(
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     current = start
-    lam = _tree_lambda1(current)
+    lam = tree_index(current)
     trace: list[ClimbStep] = []
     while len(trace) < max_steps:
         improved = False
         for move, new_tree in _candidate_moves(current):
-            new_lam = _tree_lambda1(new_tree)
+            new_lam = tree_index(new_tree)
             if new_lam > lam + IMPROVE_TOL:
                 current = new_tree
                 lam = new_lam

@@ -5,8 +5,7 @@ double-star chain, and structural audits of argmax trees.
 Two independent enumeration routes are kept deliberately:
 
   (a) decode every Prufer sequence and deduplicate by canonical code
-      (supported for n <= 9; the n=9 sweep covers 9**7 sequences and is
-      accelerated with a compiled kernel);
+      (supported for n <= 9; the n=9 sweep covers 9**7 sequences);
   (b) canonical free-tree generation (networkx's implementation of the
       Wright/Richmond/Odlyzko/McKay algorithm) for all n <= 12.
 
@@ -18,13 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
 import networkx as nx
-import numpy as np
 
-from ._accel import njit
 from .errors import DomainError, InvariantViolationError
 from .graphs import (
     PruferSequence,
@@ -33,6 +31,7 @@ from .graphs import (
     build_double_star,
     build_path,
     canonical_code,
+    format_prufer,
     leaf_count,
     prufer_decode,
     prufer_encode,
@@ -66,194 +65,18 @@ TIE_TOL = 1e-9
 CHAIN_GAP_TOL = 1e-9
 
 
-@njit(cache=True)
-def _decode_linear(n, seq, deg, eu, ev):
-    """Linear-time Prufer decode (smallest-leaf convention) into eu/ev."""
-    for v in range(n):
-        deg[v] = 1
-    for j in range(n - 2):
-        deg[seq[j]] += 1
-    ptr = 0
-    leaf = -1
-    for j in range(n - 2):
-        if leaf == -1:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        s = seq[j]
-        eu[j] = leaf
-        ev[j] = s
-        deg[leaf] = 0
-        deg[s] -= 1
-        if deg[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            leaf = -1
-    if leaf == -1:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    eu[n - 2] = leaf
-    ev[n - 2] = n - 1
-
-
-@njit(cache=True)
-def _bfs_csr(n, adj_off, adj, root, parent, order):
-    for v in range(n):
-        parent[v] = -1
-    parent[root] = root
-    order[0] = root
-    cnt = 1
-    i = 0
-    while i < cnt:
-        v = order[i]
-        i += 1
-        for jj in range(adj_off[v], adj_off[v + 1]):
-            w = adj[jj]
-            if parent[w] == -1:
-                parent[w] = v
-                order[cnt] = w
-                cnt += 1
-
-
-@njit(cache=True)
-def _rooted_bits(n, adj_off, adj, root, parent, order, bits, blen, kidkeys):
-    """Rooted AHU code as an integer: the '1...0' string read as binary.
-
-    Child codes are ordered by (bit length, value), which matches the
-    string module's (length, lexicographic) child order.
-    """
-    _bfs_csr(n, adj_off, adj, root, parent, order)
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        nk = 0
-        for jj in range(adj_off[v], adj_off[v + 1]):
-            w = adj[jj]
-            if w != root and parent[w] == v:
-                kidkeys[nk] = (blen[w] << 24) | bits[w]
-                nk += 1
-        for p in range(1, nk):
-            key = kidkeys[p]
-            q = p - 1
-            while q >= 0 and kidkeys[q] > key:
-                kidkeys[q + 1] = kidkeys[q]
-                q -= 1
-            kidkeys[q + 1] = key
-        b = np.int64(1)
-        ln = np.int64(2)
-        for p in range(nk):
-            cb = kidkeys[p] & 0xFFFFFF
-            cl = kidkeys[p] >> 24
-            b = (b << cl) | cb
-            ln += cl
-        bits[v] = b << 1
-        blen[v] = ln
-    return bits[root]
-
-
-@njit(cache=True)
-def _canonical_bits_csr(
-    n, eu, ev, degbuf, adj_off, adj, fill, parent, order, size, bits, blen, kidkeys
-):
-    for v in range(n):
-        degbuf[v] = 0
-    for j in range(n - 1):
-        degbuf[eu[j]] += 1
-        degbuf[ev[j]] += 1
-    adj_off[0] = 0
-    for v in range(n):
-        adj_off[v + 1] = adj_off[v] + degbuf[v]
-        fill[v] = adj_off[v]
-    for j in range(n - 1):
-        u = eu[j]
-        w = ev[j]
-        adj[fill[u]] = w
-        fill[u] += 1
-        adj[fill[w]] = u
-        fill[w] += 1
-    _bfs_csr(n, adj_off, adj, 0, parent, order)
-    for v in range(n):
-        size[v] = 1
-    for i in range(n - 1, 0, -1):
-        v = order[i]
-        size[parent[v]] += size[v]
-    c1 = -1
-    c2 = -1
-    half = n // 2
-    for v in range(n):
-        biggest = n - size[v]
-        for jj in range(adj_off[v], adj_off[v + 1]):
-            w = adj[jj]
-            if parent[w] == v and size[w] > biggest:
-                biggest = size[w]
-        if biggest <= half:
-            if c1 == -1:
-                c1 = v
-            else:
-                c2 = v
-    best = _rooted_bits(n, adj_off, adj, c1, parent, order, bits, blen, kidkeys)
-    if c2 != -1:
-        other = _rooted_bits(n, adj_off, adj, c2, parent, order, bits, blen, kidkeys)
-        if other < best:
-            best = other
-    return best
-
-
-@njit(cache=True)
-def _mass_canonical_codes(n, total, out):
-    """Canonical integer code of the tree decoded from every base-n index."""
-    seq = np.zeros(max(n - 2, 1), dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
-    eu = np.zeros(n - 1, dtype=np.int64)
-    ev = np.zeros(n - 1, dtype=np.int64)
-    degbuf = np.zeros(n, dtype=np.int64)
-    adj_off = np.zeros(n + 1, dtype=np.int64)
-    adj = np.zeros(2 * (n - 1), dtype=np.int64)
-    fill = np.zeros(n, dtype=np.int64)
-    parent = np.zeros(n, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    size = np.zeros(n, dtype=np.int64)
-    bits = np.zeros(n, dtype=np.int64)
-    blen = np.zeros(n, dtype=np.int64)
-    kidkeys = np.zeros(n, dtype=np.int64)
-    for idx in range(total):
-        x = idx
-        for j in range(n - 3, -1, -1):
-            seq[j] = x % n
-            x //= n
-        _decode_linear(n, seq, deg, eu, ev)
-        out[idx] = _canonical_bits_csr(
-            n, eu, ev, degbuf, adj_off, adj, fill, parent, order, size, bits,
-            blen, kidkeys,
-        )
-
-
-def _symbols_of_index(n: int, idx: int) -> tuple[int, ...]:
-    symbols = []
-    x = idx
-    for _ in range(n - 2):
-        symbols.append(x % n)
-        x //= n
-    symbols.reverse()
-    return tuple(symbols)
-
-
 def _classes_by_prufer(n: int) -> list[Tree]:
+    """Decode every sequence in base-n order and keep the first one seen
+    for each canonical code."""
     if n > MAX_PRUFER_N:
         raise DomainError(
             f"Prufer enumeration supported for n <= {MAX_PRUFER_N}, got {n}"
         )
-    total = n ** (n - 2)
-    codes = np.empty(total, dtype=np.int64)
-    _mass_canonical_codes(n, total, codes)
-    _, first_idx = np.unique(codes, return_index=True)
-    reps = [
-        prufer_decode(PruferSequence(n, _symbols_of_index(n, int(i))))
-        for i in sorted(int(i) for i in first_idx)
-    ]
-    reps.sort(key=lambda t: canonical_code(t).code)
-    return reps
+    reps: dict[str, Tree] = {}
+    for symbols in itertools.product(range(n), repeat=n - 2):
+        t = prufer_decode(PruferSequence(n, symbols))
+        reps.setdefault(canonical_code(t).code, t)
+    return [reps[code] for code in sorted(reps)]
 
 
 def _classes_by_generation(n: int) -> list[Tree]:
@@ -510,7 +333,7 @@ def report_to_csv(r: SearchReport) -> str:
                 r.n,
                 r.k,
                 c.canonical_code,
-                ",".join(str(s) for s in c.prufer),
+                format_prufer(PruferSequence(r.n, c.prufer)),
                 c.leaf_count,
                 repr(c.lambda1),
                 c.is_argmax,

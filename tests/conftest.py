@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from signedkn import SymMatrix, eigen_decompose, enumerate_tree_classes
+from signedkn import enumerate_tree_classes
 
 settings.register_profile(
     "suite",
@@ -12,12 +11,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_solver():
-    """Trigger jit compilation once so no timed test pays for it."""
-    eigen_decompose(SymMatrix(2, np.zeros((2, 2))))
 
 
 @pytest.fixture(scope="session")

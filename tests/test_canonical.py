@@ -1,18 +1,14 @@
-"""Canonical form: label invariance, class separation, and agreement
-between the string builder and the packed-integer kernel."""
+"""Canonical form: label invariance and class separation."""
 
 import itertools
 import random
 
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from signedkn import (
     CanonicalTreeCode,
     PruferSequence,
-    Tree,
     build_broom,
     build_double_star,
     build_path,
@@ -20,19 +16,6 @@ from signedkn import (
     canonical_code,
     prufer_decode,
 )
-from signedkn.search import _canonical_bits_csr
-
-
-def kernel_code(t: Tree) -> int:
-    """Run the packed-integer canonical kernel on a single tree."""
-    n = t.n
-    eu = np.zeros(n - 1, dtype=np.int64)
-    ev = np.zeros(n - 1, dtype=np.int64)
-    for j, (u, v) in enumerate(sorted(t.edges)):
-        eu[j], ev[j] = u, v
-    sizes = (n, n + 1, 2 * (n - 1), n, n, n, n, n, n, n)
-    bufs = [np.zeros(m, dtype=np.int64) for m in sizes]
-    return int(_canonical_bits_csr(n, eu, ev, *bufs))
 
 
 def random_permutation(n, seed):
@@ -112,19 +95,6 @@ def test_relabel_invariance(args):
     perm = list(range(n))
     rng.shuffle(perm)
     assert canonical_code(t) == canonical_code(t.relabel(tuple(perm)))
-
-
-def test_kernel_agrees_with_string_builder():
-    # the integer kernel must be the same function as the string code,
-    # read as binary
-    rnd = random.Random(99)
-    cases = [build_path(2), build_path(3), build_star(9), build_path(9)]
-    for n in range(2, 10):
-        for _ in range(30):
-            symbols = tuple(rnd.randrange(n) for _ in range(n - 2))
-            cases.append(prufer_decode(PruferSequence(n, symbols)))
-    for t in cases:
-        assert kernel_code(t) == int(canonical_code(t).code, 2)
 
 
 def test_exhaustive_class_collapse_n5():

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -61,6 +62,16 @@ def test_prufer_route_matches_generation():
         chk = cross_check_enumeration(n)
         assert chk.ok
         assert chk.count_generation == FREE_TREE_COUNTS[n]
+    # each Prufer-route representative is its class's lexicographically
+    # first sequence, found here by brute force over all 6**4 sequences
+    first: dict[str, tuple[int, ...]] = {}
+    for symbols in sorted(itertools.product(range(6), repeat=4)):
+        code = canonical_code(prufer_decode(PruferSequence(6, symbols))).code
+        first.setdefault(code, symbols)
+    reps = enumerate_tree_classes(6, method="prufer")
+    assert len(reps) == len(first) == FREE_TREE_COUNTS[6]
+    for t in reps:
+        assert prufer_encode(t).symbols == first[canonical_code(t).code]
 
 
 def test_enumeration_validation():
