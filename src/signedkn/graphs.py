@@ -30,7 +30,8 @@ class Tree:
 
     Construction validates the full invariant set: exactly n-1 edges, all
     endpoints in range, connected (which together with the edge count
-    implies acyclic).
+    implies acyclic).  The neighbour lists built for that check are kept
+    for adjacency(), outside the fields that eq, hash and repr see.
     """
 
     n: int
@@ -41,43 +42,32 @@ class Tree:
             raise DomainError(f"tree needs an integer n >= 2, got {self.n!r}")
         edges = frozenset(_norm_edge(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
+        nbs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvariantViolationError(
                     f"edge ({u}, {v}) out of range for n={self.n}"
                 )
+            nbs[u].append(v)
+            nbs[v].append(u)
         if len(edges) != self.n - 1:
             raise InvariantViolationError(
                 f"tree on {self.n} vertices needs {self.n - 1} edges, "
                 f"got {len(edges)}"
             )
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != self.n:
+        adj = tuple(tuple(sorted(nb)) for nb in nbs)
+        order, _ = _bfs_order(self.n, adj, 0)
+        if len(order) != self.n:
             raise InvariantViolationError("edge set is not connected")
+        object.__setattr__(self, "_adj", adj)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Adjacency lists, neighbours sorted ascending."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex, sorted ascending: adjacency()[v] is
+        the tuple of v's neighbours.  Built once, at construction."""
+        return self._adj
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [len(nb) for nb in self._adj]
 
     def leaves(self) -> list[int]:
         return [v for v, d in enumerate(self.degrees()) if d == 1]
@@ -134,7 +124,7 @@ def prufer_decode(seq: PruferSequence) -> Tree:
 def prufer_encode(t: Tree) -> PruferSequence:
     """Inverse of prufer_decode: peel smallest leaves, record their neighbours."""
     n = t.n
-    adj = {v: set(nb) for v, nb in t.adjacency().items()}
+    adj = [set(nb) for nb in t.adjacency()]
     heap = [v for v in range(n) if len(adj[v]) == 1]
     heapq.heapify(heap)
     out = []
@@ -227,7 +217,9 @@ class CanonicalTreeCode:
     code: str
 
 
-def _bfs_order(n: int, adj: dict[int, list[int]], root: int):
+def _bfs_order(n: int, adj: Sequence[Sequence[int]], root: int):
+    """Breadth-first order from root and each vertex's parent (-1 for the
+    root and for vertices root cannot reach, which order leaves out)."""
     parent = [-1] * n
     order = [root]
     parent[root] = root
@@ -263,7 +255,7 @@ def _centroids(t: Tree) -> list[int]:
     return sorted(out)
 
 
-def _rooted_code(n: int, adj: dict[int, list[int]], root: int) -> str:
+def _rooted_code(n: int, adj: Sequence[Sequence[int]], root: int) -> str:
     order, parent = _bfs_order(n, adj, root)
     code: list[str] = [""] * n
     for v in reversed(order):

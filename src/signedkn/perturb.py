@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StaleEigenvectorError
-from .graphs import SignedCompleteGraph, Tree, leaf_count
+from .graphs import SignedCompleteGraph, Tree, _bfs_order, leaf_count
 from .search import tree_index
 from .spectra import DEGENERATE_TOL, adjacency_matrix, eigen_decompose
 
@@ -133,11 +133,7 @@ def _classify(kind: str, entries: tuple[float, ...], zero_tol: float):
 
 
 def check_precondition(
-    g: SignedCompleteGraph,
-    m: RotationMove,
-    x: np.ndarray,
-    *,
-    zero_tol: float = ZERO_TOL,
+    g: SignedCompleteGraph, m: RotationMove, x: np.ndarray
 ) -> PreconditionReport:
     """Evaluate the move's eigenvector-entry precondition.
 
@@ -166,7 +162,7 @@ def check_precondition(
     full = eigen_decompose(sym, want_vectors=False)
     degenerate = float(full.values[0] - full.values[1]) <= DEGENERATE_TOL
     entries = tuple(float(x[v]) for v in m.vertices)
-    satisfied, strict = _classify(m.kind, entries, zero_tol)
+    satisfied, strict = _classify(m.kind, entries, ZERO_TOL)
     return PreconditionReport(
         satisfied=satisfied,
         strict=strict,
@@ -201,37 +197,23 @@ def trace_to_jsonl(trace: list[ClimbStep]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _tree_path(adj: dict[int, list[int]], c: int, d: int) -> list[int]:
-    parent = {c: c}
-    queue = [c]
-    for v in queue:
-        if v == d:
-            break
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    path = [d]
-    while path[-1] != c:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _candidate_moves(t: Tree) -> list[tuple[RotationMove, Tree]]:
     """All 1-edge exchanges that keep the negative set a spanning tree with
     the same number of leaves, as rotation moves sorted by vertex tuple."""
     n = t.n
     adj = t.adjacency()
     deg = t.degrees()
-    k = sum(1 for x in deg if x == 1)
+    k = leaf_count(t)
     out = []
     for c in range(n):
+        _, parent = _bfs_order(n, adj, c)
         for d in range(c + 1, n):
             if (c, d) in t.edges:
                 continue
-            path = _tree_path(adj, c, d)
-            for a, b in zip(path, path[1:]):
+            path = [d]  # walked up to c, so a is the end of each edge nearer c
+            while path[-1] != c:
+                path.append(parent[path[-1]])
+            for b, a in zip(path, path[1:]):
                 delta = {c: 1, d: 1}
                 delta[a] = delta.get(a, 0) - 1
                 delta[b] = delta.get(b, 0) - 1

@@ -21,8 +21,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import DomainError, InvariantViolationError
 from .graphs import (
     PruferSequence,
@@ -65,23 +63,32 @@ TIE_TOL = 1e-9
 CHAIN_GAP_TOL = 1e-9
 
 
-def _classes_by_prufer(n: int) -> list[Tree]:
+def _first_per_code(trees) -> dict[str, Tree]:
+    """The first tree seen for each canonical code, keyed by that code."""
+    reps: dict[str, Tree] = {}
+    for t in trees:
+        reps.setdefault(canonical_code(t).code, t)
+    return reps
+
+
+def _classes_by_prufer(n: int) -> dict[str, Tree]:
     """Decode every sequence in base-n order and keep the first one seen
     for each canonical code."""
     if n > MAX_PRUFER_N:
         raise DomainError(
             f"Prufer enumeration supported for n <= {MAX_PRUFER_N}, got {n}"
         )
-    reps: dict[str, Tree] = {}
-    for symbols in itertools.product(range(n), repeat=n - 2):
-        t = prufer_decode(PruferSequence(n, symbols))
-        reps.setdefault(canonical_code(t).code, t)
-    return [reps[code] for code in sorted(reps)]
+    return _first_per_code(
+        prufer_decode(PruferSequence(n, symbols))
+        for symbols in itertools.product(range(n), repeat=n - 2)
+    )
 
 
-def _classes_by_generation(n: int) -> list[Tree]:
+def _classes_by_generation(n: int) -> dict[str, Tree]:
     if n <= 3:
-        return [build_path(n)]
+        return _first_per_code([build_path(n)])
+    import networkx as nx
+
     trees = []
     for gnx in nx.nonisomorphic_trees(n):
         nodes = sorted(gnx.nodes())
@@ -92,13 +99,12 @@ def _classes_by_generation(n: int) -> list[Tree]:
             f"free-tree generation for n={n} produced {len(trees)} classes, "
             f"expected {FREE_TREE_COUNTS[n]}"
         )
-    codes = {canonical_code(t).code for t in trees}
-    if len(codes) != len(trees):
+    reps = _first_per_code(trees)
+    if len(reps) != len(trees):
         raise InvariantViolationError(
             f"canonical codes collapsed distinct classes at n={n}"
         )
-    trees.sort(key=lambda t: canonical_code(t).code)
-    return trees
+    return reps
 
 
 def enumerate_tree_classes(n: int, method: str = "generate") -> list[Tree]:
@@ -111,10 +117,12 @@ def enumerate_tree_classes(n: int, method: str = "generate") -> list[Tree]:
     if not 2 <= n <= MAX_N:
         raise DomainError(f"class enumeration supports 2 <= n <= {MAX_N}, got {n}")
     if method == "generate":
-        return _classes_by_generation(n)
-    if method == "prufer":
-        return _classes_by_prufer(n)
-    raise DomainError(f"unknown enumeration method {method!r}")
+        reps = _classes_by_generation(n)
+    elif method == "prufer":
+        reps = _classes_by_prufer(n)
+    else:
+        raise DomainError(f"unknown enumeration method {method!r}")
+    return [reps[code] for code in sorted(reps)]
 
 
 @dataclass(frozen=True)
@@ -140,11 +148,11 @@ def cross_check_enumeration(n: int) -> EnumerationCrossCheck:
     return EnumerationCrossCheck(n, len(gen), len(pru), same)
 
 
-def enumerate_with_leaves(n: int, k: int, method: str = "generate") -> list[Tree]:
+def enumerate_with_leaves(n: int, k: int) -> list[Tree]:
     """The classes on n vertices with exactly k leaves."""
     if not 2 <= k <= n - 1:
         raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
-    return [t for t in enumerate_tree_classes(n, method) if leaf_count(t) == k]
+    return [t for t in enumerate_tree_classes(n) if leaf_count(t) == k]
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,8 @@ def _off_norm(a):
 
 
 def _jacobi_sweeps(a, v, tol, max_sweeps):
-    """Run cyclic Jacobi sweeps in place on a, accumulating rotations in v.
+    """Run cyclic Jacobi sweeps in place on a, accumulating rotations in v
+    unless v is None.
 
     Returns (achieved off-diagonal Frobenius norm, sweeps used).
     """
@@ -141,10 +142,11 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
                 a[q, q] = aqq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                if v is not None:
+                    vp = v[:, p].copy()
+                    vq = v[:, q].copy()
+                    v[:, p] = c * vp - s * vq
+                    v[:, q] = s * vp + c * vq
         sweeps += 1
         off = _off_norm(a)
     return off, sweeps
@@ -161,7 +163,7 @@ def eigen_decompose(
     """
     a = m.entries.copy()
     tol = JACOBI_REL_TOL * m.frobenius()
-    v = np.eye(m.n)
+    v = np.eye(m.n) if want_vectors else None
     off, _ = _jacobi_sweeps(a, v, tol, max_sweeps)
     if off > tol:
         raise ConvergenceError(
@@ -188,8 +190,8 @@ def adjacency_matrix(g: SignedCompleteGraph) -> SymMatrix:
     return SymMatrix(g.n, a)
 
 
-def spectrum_of(g: SignedCompleteGraph, want_vectors: bool = False) -> Spectrum:
-    return eigen_decompose(adjacency_matrix(g), want_vectors=want_vectors)
+def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
+    return eigen_decompose(adjacency_matrix(g), want_vectors=False)
 
 
 def index(g: SignedCompleteGraph) -> float:

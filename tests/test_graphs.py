@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from signedkn import (
     DomainError,
+    InvariantViolationError,
     MalformedInputError,
     PruferSequence,
     Tree,
@@ -57,25 +58,25 @@ def test_tree_normalizes_edge_orientation():
 
 
 def test_tree_rejects_wrong_edge_count():
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolationError):
         Tree(4, frozenset({(0, 1), (1, 2)}))
 
 
 def test_tree_rejects_cycle():
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolationError):
         Tree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
 
 
 def test_tree_rejects_disconnected():
     # right edge count, but a cycle plus an isolated vertex
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolationError):
         Tree(5, frozenset({(0, 1), (1, 2), (0, 2), (3, 4)}))
 
 
 def test_tree_rejects_self_loop_and_range():
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolationError):
         Tree(3, frozenset({(0, 0), (1, 2)}))
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolationError):
         Tree(3, frozenset({(0, 1), (1, 3)}))
 
 
@@ -98,7 +99,7 @@ def test_relabel_roundtrip():
 
 
 def test_relabel_rejects_non_permutation():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         build_path(4).relabel((0, 1, 1, 2))
 
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,7 +33,7 @@ from signedkn import (
     top_eigenvector,
     trace_to_jsonl,
 )
-from signedkn.perturb import IMPROVE_TOL, ZERO_TOL, _classify
+from signedkn.perturb import IMPROVE_TOL, ZERO_TOL, _candidate_moves, _classify
 
 Z = ZERO_TOL
 
@@ -269,6 +271,46 @@ def test_satisfied_move_never_lowers_lambda1():
             assert after - before > 1e-10
     assert satisfied_seen >= 40
     assert strict_seen >= 20
+
+
+# ------------------------------------------------------------- candidates
+
+
+def _exchange_oracle(t):
+    """Edge sets of every tree T - e + f (e a tree edge, f a non-edge)
+    with the same leaf count as t, found by brute force."""
+    n, k = t.n, leaf_count(t)
+    out = set()
+    for e in t.edges:
+        for f in itertools.combinations(range(n), 2):
+            if f in t.edges:
+                continue
+            edges = (t.edges - {e}) | {f}
+            g = nx.Graph(list(edges))
+            g.add_nodes_from(range(n))
+            if nx.is_tree(g) and leaf_count(Tree(n, edges)) == k:
+                out.add(edges)
+    return out
+
+
+def test_candidate_moves_match_exchange_oracle(classes_of):
+    rnd = random.Random(12)
+    for n in range(2, 8):
+        for cls in classes_of(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            for t in (cls, cls.relabel(perm)):
+                cands = _candidate_moves(t)
+                got = [new_tree.edges for _, new_tree in cands]
+                assert len(got) == len(set(got))
+                assert set(got) == _exchange_oracle(t)
+                g = signed_complete_from_tree(t)
+                for move, new_tree in cands:
+                    assert apply_rotation(g, move) == signed_complete_from_tree(
+                        new_tree
+                    )
+                verts = [move.vertices for move, _ in cands]
+                assert verts == sorted(verts)
 
 
 # ------------------------------------------------------------- hill climb
