@@ -61,7 +61,6 @@ from .search import (
     report_to_csv,
     report_to_json,
     structural_audit,
-    tree_index,
     verify_max_index,
 )
 from .spectra import (
@@ -76,6 +75,7 @@ from .spectra import (
     spectral_radius,
     spectrum_of,
     top_eigenvector,
+    tree_index,
 )
 
 __version__ = "0.1.0"

@@ -38,10 +38,9 @@ from .search import (
     enumerate_tree_classes,
     report_to_csv,
     report_to_json,
-    tree_index,
     verify_max_index,
 )
-from .spectra import spectrum_of
+from .spectra import spectrum_of, tree_index
 
 
 class _UsageError(Exception):

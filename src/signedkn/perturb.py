@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StaleEigenvectorError
 from .graphs import SignedCompleteGraph, Tree, _bfs_order, leaf_count
-from .search import tree_index
-from .spectra import DEGENERATE_TOL, adjacency_matrix, eigen_decompose
+from .spectra import DEGENERATE_TOL, adjacency_matrix, eigen_decompose, tree_index
 
 KINDS = ("type_i", "type_ii")
 
@@ -159,7 +158,7 @@ def check_precondition(
             "recompute the eigenvector for this graph",
             res,
         )
-    full = eigen_decompose(sym, want_vectors=False)
+    full = eigen_decompose(sym)
     degenerate = float(full.values[0] - full.values[1]) <= DEGENERATE_TOL
     entries = tuple(float(x[v]) for v in m.vertices)
     satisfied, strict = _classify(m.kind, entries, ZERO_TOL)

@@ -33,9 +33,10 @@ from .graphs import (
     leaf_count,
     prufer_decode,
     prufer_encode,
-    signed_complete_from_tree,
 )
-from .spectra import adjacency_matrix, eigen_decompose
+# Both names stay bound here for callers that reach them through search,
+# perfbench's tracer among them; only tree_index is used in this module.
+from .spectra import eigen_decompose, tree_index  # noqa: F401
 
 # Free-tree class counts for n = 2..12, frozen after the dual-method
 # enumeration agreed; also the classical counting sequence for free trees.
@@ -193,12 +194,6 @@ def _mode_of(n: int, k: int) -> str:
     if k == 2:
         return "edge_k_2"
     return "reduced"
-
-
-def tree_index(t: Tree) -> float:
-    """λ1 of (K_n, T-) for the given tree of negative edges."""
-    g = signed_complete_from_tree(t)
-    return float(eigen_decompose(adjacency_matrix(g), False).values[0])
 
 
 def verify_max_index(n: int, k: int) -> SearchReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolationError
-from .graphs import SignedCompleteGraph
+from .graphs import SignedCompleteGraph, Tree, signed_complete_from_tree
 
 # Relative off-diagonal tolerance and sweep cap of the solver.
 JACOBI_REL_TOL = 1e-12
@@ -50,11 +50,11 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, optional aligned eigenvector columns,
-    and the off-diagonal norm the solver achieved."""
+    """Eigenvalues sorted descending, aligned unit eigenvector columns, and
+    the off-diagonal norm the solver achieved."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     tol: float
 
     @property
@@ -105,22 +105,25 @@ def _off_norm(a):
     return math.sqrt(float(np.sum(off * off)))
 
 
-def _jacobi_sweeps(a, v, tol, max_sweeps):
-    """Run cyclic Jacobi sweeps in place on a, accumulating rotations in v
-    unless v is None.
+def _jacobi_sweeps(w, n, tol):
+    """Run cyclic Jacobi sweeps in place on w = [A | I], an n x 2n array.
+
+    A rotation J in the (p, q) plane rotates rows p and q of w, giving Jᵀ A
+    on the left and Jᵀ Vᵀ = (V J)ᵀ on the right; copying the new rows into
+    columns p and q of A completes Jᵀ A J, which stays exactly symmetric.
+    The right block ends as Vᵀ, the transposed eigenvector matrix.
 
     Returns (achieved off-diagonal Frobenius norm, sweeps used).
     """
-    n = a.shape[0]
-    off = _off_norm(a)
+    off = _off_norm(w[:, :n])
     sweeps = 0
-    while off > tol and sweeps < max_sweeps:
+    while off > tol and sweeps < MAX_SWEEPS:
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = w[p, q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
                 if abs(theta) > 1e154:
                     # asymptotic branch: avoids overflow in theta * theta
                     t = 1.0 / (2.0 * theta)
@@ -130,54 +133,46 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
                     t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                app = a[p, p] - t * apq
-                aqq = a[q, q] + t * apq
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app
-                a[q, q] = aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
+                app = w[p, p] - t * apq
+                aqq = w[q, q] + t * apq
+                wp = c * w[p] - s * w[q]
+                wq = s * w[p] + c * w[q]
+                w[p] = wp
+                w[q] = wq
+                w[:, p] = wp[:n]
+                w[:, q] = wq[:n]
+                w[p, p] = app
+                w[q, q] = aqq
+                w[p, q] = 0.0
+                w[q, p] = 0.0
         sweeps += 1
-        off = _off_norm(a)
+        off = _off_norm(w[:, :n])
     return off, sweeps
 
 
-def eigen_decompose(
-    m: SymMatrix, want_vectors: bool = True, *, max_sweeps: int = MAX_SWEEPS
-) -> Spectrum:
-    """Full spectrum of a symmetric matrix, sorted descending.
+def eigen_decompose(m: SymMatrix) -> Spectrum:
+    """Full spectrum of a symmetric matrix, sorted descending, with its
+    unit eigenvectors as aligned columns.
 
     Sweeps run until the off-diagonal Frobenius norm is at most
-    JACOBI_REL_TOL times the Frobenius norm of the input, up to max_sweeps.
+    JACOBI_REL_TOL times the Frobenius norm of the input, up to MAX_SWEEPS.
     Deterministic: identical input gives identical output.
     """
-    a = m.entries.copy()
+    n = m.n
+    w = np.hstack([m.entries, np.eye(n)])
     tol = JACOBI_REL_TOL * m.frobenius()
-    v = np.eye(m.n) if want_vectors else None
-    off, _ = _jacobi_sweeps(a, v, tol, max_sweeps)
+    off, _ = _jacobi_sweeps(w, n, tol)
     if off > tol:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge: off-norm {off:.3e} > tol {tol:.3e}",
             off_norm=float(off),
         )
-    vals = np.diag(a).copy()
+    vals = w.diagonal()
     order = np.argsort(-vals, kind="stable")
     values = vals[order]
     values.setflags(write=False)
-    vectors = None
-    if want_vectors:
-        vectors = v[:, order].copy()
-        vectors.setflags(write=False)
+    vectors = w[:, n:].T[:, order]
+    vectors.setflags(write=False)
     return Spectrum(values=values, vectors=vectors, tol=float(off))
 
 
@@ -191,12 +186,17 @@ def adjacency_matrix(g: SignedCompleteGraph) -> SymMatrix:
 
 
 def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
-    return eigen_decompose(adjacency_matrix(g), want_vectors=False)
+    return eigen_decompose(adjacency_matrix(g))
 
 
 def index(g: SignedCompleteGraph) -> float:
     """λ1, the largest adjacency eigenvalue."""
     return spectrum_of(g).lambda1
+
+
+def tree_index(t: Tree) -> float:
+    """λ1 of (K_n, T-) for the given tree of negative edges."""
+    return index(signed_complete_from_tree(t))
 
 
 def least_eigenvalue(g: SignedCompleteGraph) -> float:
@@ -220,7 +220,7 @@ def top_eigenvector(g: SignedCompleteGraph) -> TopEigenvector:
     eigenvector but the degenerate flag is set; callers that rely on a
     specific eigenvector should check it.
     """
-    spec = eigen_decompose(adjacency_matrix(g), want_vectors=True)
+    spec = eigen_decompose(adjacency_matrix(g))
     x = spec.vectors[:, 0].copy()
     total = float(x.sum())
     if total < -_SUM_TIE_TOL:

@@ -19,6 +19,8 @@ from signedkn import (
     Spectrum,
     SymMatrix,
     adjacency_matrix,
+    build_broom,
+    build_double_star,
     build_path,
     build_star,
     eigen_decompose,
@@ -30,6 +32,7 @@ from signedkn import (
     spectral_radius,
     spectrum_of,
     top_eigenvector,
+    tree_index,
 )
 from signedkn.spectra import JACOBI_REL_TOL
 
@@ -200,7 +203,7 @@ def test_agrees_with_charpoly_roots():
     for _ in range(12):
         n = rnd.randrange(2, 7)
         a = random_signed_adjacency(n, rnd)
-        got = decomp(a, want_vectors=False).values
+        got = decomp(a).values
         want = charpoly_eigenvalues(a)
         assert np.max(np.abs(got - np.array(want))) <= 1e-7
 
@@ -212,7 +215,7 @@ def test_agrees_with_power_iteration():
         a = random_signed_adjacency(n, rnd)
         lam1, lam2, ok = power_top_two(a, seed=i)
         assert ok, "oracle power iteration failed to converge"
-        s = decomp(a, want_vectors=False)
+        s = decomp(a)
         assert abs(s.values[0] - lam1) <= 1e-7
         assert abs(s.values[1] - lam2) <= 1e-6
 
@@ -222,17 +225,18 @@ def test_agrees_with_lapack():
     for _ in range(20):
         n = rnd.randrange(2, 25)
         a = random_signed_adjacency(n, rnd)
-        got = decomp(a, want_vectors=False).values
+        got = decomp(a).values
         assert np.max(np.abs(got - numpy_eigenvalues(a))) <= 1e-9
 
 
 # ---------------------------------------------------------------- failure path
 
 
-def test_convergence_error_carries_norm():
+def test_convergence_error_carries_norm(monkeypatch):
     m = adjacency_matrix(signed_complete_from_tree(build_star(6)))
+    monkeypatch.setattr("signedkn.spectra.MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as exc:
-        eigen_decompose(m, max_sweeps=0)
+        eigen_decompose(m)
     off = exc.value.off_norm
     assert off == pytest.approx(np.sqrt(np.sum(m.entries * m.entries)), rel=1e-12)
 
@@ -310,7 +314,27 @@ def test_spectrum_json_full_precision():
     assert doc["lambda1"] == 2.6038754716096766
 
 
-def test_spectrum_without_vectors():
-    s = decomp(np.zeros((3, 3)), want_vectors=False)
-    assert s.vectors is None
+def test_exact_bits_at_benchmark_sizes():
+    # exact pins at the sizes the benchmark solves: any change to the
+    # solver's arithmetic, not just a loss of accuracy, shows up here
+    assert tree_index(build_broom(12, 5)) == 8.134065793119028
+    assert tree_index(build_double_star(5, 5)) == 8.999999999999996
+    assert tree_index(build_broom(16, 5)) == 11.624392075884368
+    top = top_eigenvector(signed_complete_from_tree(build_path(6)))
+    assert top.vector.tolist() == [
+        0.23192061392432975,
+        -0.41790650594127504,
+        0.5211208891696026,
+        -0.5211208891696023,
+        0.41790650594127476,
+        -0.23192061392432972,
+    ]
+
+
+def test_spectrum_vectors_diagonalize():
+    g = signed_complete_from_tree(build_path(7))
+    s = spectrum_of(g)
+    a = adjacency_matrix(g).entries
     assert isinstance(s, Spectrum)
+    assert np.max(np.abs(a @ s.vectors - s.vectors * s.values)) <= 1e-9
+    assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(7))) <= 1e-12
