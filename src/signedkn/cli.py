@@ -20,6 +20,7 @@ from .errors import SignedKnError
 from .graphs import (
     PruferSequence,
     Tree,
+    _check_leaf_count,
     canonical_code,
     format_prufer,
     leaf_count,
@@ -258,7 +259,7 @@ def _cmd_chain(args) -> int:
 def _cmd_climb(args) -> int:
     rng = random.Random(args.seed)
     start = random_tree_with_leaf_count(args.n, args.k, rng)
-    final, trace = hill_climb(args.n, args.k, start, max_steps=args.max_steps)
+    final, trace = hill_climb(start, max_steps=args.max_steps)
     final_rec = {
         "n": args.n,
         "k": args.k,
@@ -292,6 +293,8 @@ def _cmd_climb(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.k is not None:
+        _check_leaf_count(args.n, args.k)
     trees = enumerate_tree_classes(args.n, method=args.method)
     if args.k is not None:
         trees = [t for t in trees if leaf_count(t) == args.k]
@@ -350,3 +353,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

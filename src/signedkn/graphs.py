@@ -56,7 +56,7 @@ class Tree:
                 f"got {len(edges)}"
             )
         adj = tuple(tuple(sorted(nb)) for nb in nbs)
-        order, _ = _bfs_order(self.n, adj, 0)
+        order, _ = _bfs_order(adj, 0)
         if len(order) != self.n:
             raise InvariantViolationError("edge set is not connected")
         object.__setattr__(self, "_adj", adj)
@@ -191,14 +191,19 @@ def random_tree(n: int, rng: random.Random) -> Tree:
     return prufer_decode(PruferSequence(n, symbols))
 
 
+def _check_leaf_count(n: int, k: int) -> None:
+    """Reject a leaf count no tree on n vertices can have."""
+    if not 2 <= k <= n - 1:
+        raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
+
+
 def random_tree_with_leaf_count(n: int, k: int, rng: random.Random) -> Tree:
     """Random labelled tree with exactly k leaves.
 
     Uses the fact that a decoded tree has n minus (distinct symbols) leaves:
     pick n-k distinct symbols, place each at least once, fill the rest.
     """
-    if not 2 <= k <= n - 1:
-        raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
+    _check_leaf_count(n, k)
     interior = rng.sample(range(n), n - k)
     symbols = list(interior) + [rng.choice(interior) for _ in range(k - 2)]
     rng.shuffle(symbols)
@@ -217,10 +222,10 @@ class CanonicalTreeCode:
     code: str
 
 
-def _bfs_order(n: int, adj: Sequence[Sequence[int]], root: int):
+def _bfs_order(adj: Sequence[Sequence[int]], root: int):
     """Breadth-first order from root and each vertex's parent (-1 for the
     root and for vertices root cannot reach, which order leaves out)."""
-    parent = [-1] * n
+    parent = [-1] * len(adj)
     order = [root]
     parent[root] = root
     for v in order:
@@ -239,7 +244,7 @@ def _centroids(t: Tree) -> list[int]:
     if n == 2:
         return [0, 1]
     adj = t.adjacency()
-    order, parent = _bfs_order(n, adj, 0)
+    order, parent = _bfs_order(adj, 0)
     size = [1] * n
     for v in reversed(order):
         if parent[v] >= 0:
@@ -255,9 +260,9 @@ def _centroids(t: Tree) -> list[int]:
     return sorted(out)
 
 
-def _rooted_code(n: int, adj: Sequence[Sequence[int]], root: int) -> str:
-    order, parent = _bfs_order(n, adj, root)
-    code: list[str] = [""] * n
+def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
+    order, parent = _bfs_order(adj, root)
+    code: list[str] = [""] * len(adj)
     for v in reversed(order):
         kids = sorted(
             (code[w] for w in adj[v] if parent[w] == v), key=lambda c: (len(c), c)
@@ -271,7 +276,7 @@ def canonical_code(t: Tree) -> CanonicalTreeCode:
     lexicographically smaller of the two rooted codes is used (both have
     length 2n, so string order and numeric order agree)."""
     adj = t.adjacency()
-    codes = [_rooted_code(t.n, adj, c) for c in _centroids(t)]
+    codes = [_rooted_code(adj, c) for c in _centroids(t)]
     return CanonicalTreeCode(min(codes))
 
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StaleEigenvectorError
 from .graphs import SignedCompleteGraph, Tree, _bfs_order, leaf_count
-from .spectra import DEGENERATE_TOL, adjacency_matrix, eigen_decompose, tree_index
+# Nothing here calls eigen_decompose; perfbench's restore test checks this binding
+# (test_traced_run_reports_every_layer_metric_and_restores_the_package).
+from .spectra import adjacency_matrix, eigen_decompose, tree_index  # noqa: F401
 
 KINDS = ("type_i", "type_ii")
 
@@ -75,15 +77,13 @@ class PreconditionReport:
     """Outcome of checking a move against a λ1-eigenvector.
 
     entries_used holds (x_r, x_s, x_t) or (x_r, x_s, x_t, x_u) from the
-    unit-normalized vector.  degenerate_top mirrors the spectra module's
-    multiplicity flag for this graph, so harnesses can exclude those cases
-    from strictness assertions.  strict implies satisfied.
+    unit-normalized vector.  strict implies satisfied.  Whether λ1 is
+    degenerate is top_eigenvector(g).degenerate.
     """
 
     satisfied: bool
     strict: bool
     entries_used: tuple[float, ...]
-    degenerate_top: bool
 
 
 def _check_pattern(g: SignedCompleteGraph, m: RotationMove) -> None:
@@ -109,25 +109,25 @@ def apply_rotation(g: SignedCompleteGraph, m: RotationMove) -> SignedCompleteGra
     return SignedCompleteGraph(g.n, neg)
 
 
-def _classify(kind: str, entries: tuple[float, ...], zero_tol: float):
+def _classify(kind: str, entries: tuple[float, ...]):
     """Precondition truth table with a zero-tolerance band.
 
-    A quantity within zero_tol of zero counts as zero: it satisfies both
+    A quantity within ZERO_TOL of zero counts as zero: it satisfies both
     weak inequalities and neither strict one.
     """
     if kind == "type_i":
         xr, xs, xt = entries
         d = xt - xs
-        up = xr >= -zero_tol and d >= -zero_tol
-        down = xr <= zero_tol and d <= zero_tol
+        up = xr >= -ZERO_TOL and d >= -ZERO_TOL
+        down = xr <= ZERO_TOL and d <= ZERO_TOL
         satisfied = up or down
-        strict = (up and (xr > zero_tol or d > zero_tol)) or (
-            down and (xr < -zero_tol or d < -zero_tol)
+        strict = (up and (xr > ZERO_TOL or d > ZERO_TOL)) or (
+            down and (xr < -ZERO_TOL or d < -ZERO_TOL)
         )
     else:
         xr, xs, xt, xu = entries
-        satisfied = xt * xu - xr * xs >= -zero_tol
-        strict = satisfied and max(abs(e) for e in entries) > zero_tol
+        satisfied = xt * xu - xr * xs >= -ZERO_TOL
+        strict = satisfied and max(abs(e) for e in entries) > ZERO_TOL
     return satisfied, strict
 
 
@@ -158,16 +158,9 @@ def check_precondition(
             "recompute the eigenvector for this graph",
             res,
         )
-    full = eigen_decompose(sym)
-    degenerate = float(full.values[0] - full.values[1]) <= DEGENERATE_TOL
     entries = tuple(float(x[v]) for v in m.vertices)
-    satisfied, strict = _classify(m.kind, entries, ZERO_TOL)
-    return PreconditionReport(
-        satisfied=satisfied,
-        strict=strict,
-        entries_used=entries,
-        degenerate_top=degenerate,
-    )
+    satisfied, strict = _classify(m.kind, entries)
+    return PreconditionReport(satisfied=satisfied, strict=strict, entries_used=entries)
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ def _candidate_moves(t: Tree) -> list[tuple[RotationMove, Tree]]:
     k = leaf_count(t)
     out = []
     for c in range(n):
-        _, parent = _bfs_order(n, adj, c)
+        _, parent = _bfs_order(adj, c)
         for d in range(c + 1, n):
             if (c, d) in t.edges:
                 continue
@@ -236,31 +229,20 @@ def _candidate_moves(t: Tree) -> list[tuple[RotationMove, Tree]]:
     return out
 
 
-def hill_climb(
-    n: int, k: int, start: Tree, max_steps: int = 500
-) -> tuple[Tree, list[ClimbStep]]:
+def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]]:
     """First-improvement local search maximizing λ1 of (K_n, T-).
 
-    Moves are the spanning-tree 1-exchanges that preserve the leaf count k,
-    tried in lexicographic vertex order; a move is accepted as soon as the
-    recomputed λ1 rises by more than IMPROVE_TOL.  Stops at a local maximum
-    or after max_steps accepted moves.
+    Moves are the spanning-tree 1-exchanges that preserve the start tree's
+    leaf count, tried in lexicographic vertex order; a move is accepted as
+    soon as the recomputed λ1 rises by more than IMPROVE_TOL.  Stops at a
+    local maximum or after max_steps accepted moves.
     """
-    if start.n != n:
-        raise DomainError(f"start tree has n={start.n}, expected {n}")
-    if not 2 <= k <= n - 1:
-        raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
-    if leaf_count(start) != k:
-        raise DomainError(
-            f"start tree has {leaf_count(start)} leaves, expected {k}"
-        )
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     current = start
     lam = tree_index(current)
     trace: list[ClimbStep] = []
     while len(trace) < max_steps:
-        improved = False
         for move, new_tree in _candidate_moves(current):
             new_lam = tree_index(new_tree)
             if new_lam > lam + IMPROVE_TOL:
@@ -274,8 +256,7 @@ def hill_climb(
                         lambda1=new_lam,
                     )
                 )
-                improved = True
                 break
-        if not improved:
+        else:
             break
     return current, trace

@@ -25,6 +25,7 @@ from .errors import DomainError, InvariantViolationError
 from .graphs import (
     PruferSequence,
     Tree,
+    _check_leaf_count,
     build_broom,
     build_double_star,
     build_path,
@@ -151,8 +152,7 @@ def cross_check_enumeration(n: int) -> EnumerationCrossCheck:
 
 def enumerate_with_leaves(n: int, k: int) -> list[Tree]:
     """The classes on n vertices with exactly k leaves."""
-    if not 2 <= k <= n - 1:
-        raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
+    _check_leaf_count(n, k)
     return [t for t in enumerate_tree_classes(n) if leaf_count(t) == k]
 
 
@@ -265,12 +265,12 @@ class AuditRecord:
     passed: bool
 
 
-def structural_audit(t: Tree, k: int) -> AuditRecord:
-    """Check the expected argmax shape: a unique hub of degree k carrying
-    k-1 pendant neighbours, every other vertex of degree at most 2."""
-    if leaf_count(t) != k:
-        raise DomainError(f"tree has {leaf_count(t)} leaves, expected {k}")
+def structural_audit(t: Tree) -> AuditRecord:
+    """Check the expected argmax shape for the tree's leaf count k: a
+    unique hub of degree k carrying k-1 pendant neighbours, every other
+    vertex of degree at most 2."""
     n = t.n
+    k = leaf_count(t)
     if not 3 <= k <= n - 2:
         return AuditRecord(
             n=n, k=k, applicable=False, hub=None, max_degree_is_k=None,

@@ -105,7 +105,7 @@ def _off_norm(a):
     return math.sqrt(float(np.sum(off * off)))
 
 
-def _jacobi_sweeps(w, n, tol):
+def _jacobi_sweeps(w, tol):
     """Run cyclic Jacobi sweeps in place on w = [A | I], an n x 2n array.
 
     A rotation J in the (p, q) plane rotates rows p and q of w, giving Jᵀ A
@@ -115,6 +115,7 @@ def _jacobi_sweeps(w, n, tol):
 
     Returns (achieved off-diagonal Frobenius norm, sweeps used).
     """
+    n = w.shape[0]
     off = _off_norm(w[:, :n])
     sweeps = 0
     while off > tol and sweeps < MAX_SWEEPS:
@@ -161,7 +162,7 @@ def eigen_decompose(m: SymMatrix) -> Spectrum:
     n = m.n
     w = np.hstack([m.entries, np.eye(n)])
     tol = JACOBI_REL_TOL * m.frobenius()
-    off, _ = _jacobi_sweeps(w, n, tol)
+    off, _ = _jacobi_sweeps(w, tol)
     if off > tol:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge: off-norm {off:.3e} > tol {tol:.3e}",

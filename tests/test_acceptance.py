@@ -201,7 +201,7 @@ def test_criterion_06_rotation_monotonicity():
         satisfied += 1
         delta = index(apply_rotation(g, move)) - top.value
         worst_drop = min(worst_drop, delta)
-        if report.strict and not report.degenerate_top and top.gap > 1e-6:
+        if report.strict and not top.degenerate and top.gap > 1e-6:
             strict_qualifying += 1
             min_strict_rise = min(min_strict_rise, delta)
     ok = (
@@ -280,11 +280,11 @@ def test_criterion_09_hill_climb_vs_exhaustive():
             hits = 0
             for _ in range(50):
                 start = random_tree_with_leaf_count(n, k, rnd)
-                final, _ = hill_climb(n, k, start)
+                final, _ = hill_climb(start)
                 if abs(tree_index(final) - best) <= 1e-8:
                     hits += 1
             hit_rates.append(hits / 50.0)
-            _, trace = hill_climb(n, k, build_broom(n, k))
+            _, trace = hill_climb(build_broom(n, k))
             fixed_points = fixed_points and trace == []
     ok = all(r >= 0.95 for r in hit_rates) and fixed_points
     _line(
@@ -312,7 +312,7 @@ def test_criterion_10_unbalanced_index_and_audits(classes_of, verified_range):
     for (n, k), r in sorted(_fill_verified(verified_range).items()):
         arg = next(c for c in r.classes if c.is_argmax)
         t = prufer_decode(PruferSequence(n, arg.prufer))
-        audits_ok = audits_ok and structural_audit(t, k).passed
+        audits_ok = audits_ok and structural_audit(t).passed
     ok = worst > 1.0 and audits_ok and balance_as_expected
     _line(
         10,

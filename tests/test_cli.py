@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signedkn
 from signedkn.cli import run
 
 
@@ -234,6 +239,13 @@ def test_enumerate_with_k_filter(capsys):
     assert all(c["leaf_count"] == 3 for c in doc["classes"])
 
 
+def test_enumerate_impossible_k(capsys):
+    assert run(["enumerate", "--n", "8", "--k", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 2 <= k <= n-1, got (n=8, k=9)\n"
+
+
 def test_enumerate_prufer_method_agrees(capsys):
     # same classes in the same order; representatives may be labeled
     # differently per method, so compare codes rather than prufer strings
@@ -281,6 +293,18 @@ def test_missing_edge_file(capsys):
 
 def test_enumeration_out_of_supported_range(capsys):
     assert run(["enumerate", "--n", "99"]) == 1
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ, PYTHONPATH=str(Path(signedkn.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "signedkn.cli", "spectrum", "--prufer", "1,2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["lambda1"] == 2.2360679774997902
 
 
 def test_csv_rejected_for_spectrum(capsys):

@@ -208,7 +208,8 @@ def test_chain_end_is_k_n_minus_2_argmax():
 
 
 def test_audit_broom_passes():
-    rec = structural_audit(build_broom(8, 4), 4)
+    rec = structural_audit(build_broom(8, 4))
+    assert rec.k == 4
     assert rec.applicable
     assert rec.passed
     assert rec.hub == 0
@@ -219,7 +220,7 @@ def test_audit_broom_passes():
 
 
 def test_audit_balanced_double_star_fails():
-    rec = structural_audit(build_double_star(2, 2), 4)
+    rec = structural_audit(build_double_star(2, 2))
     assert rec.applicable
     assert not rec.passed
     assert not rec.max_degree_is_k
@@ -228,7 +229,7 @@ def test_audit_balanced_double_star_fails():
 def test_audit_spider_fails_pendant_check():
     # legs (1, 2, 2): hub degree 3 = k but only one pendant neighbour
     spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
-    rec = structural_audit(spider, 3)
+    rec = structural_audit(spider)
     assert rec.applicable
     assert rec.max_degree_is_k
     assert not rec.hub_pendant_neighbors
@@ -236,18 +237,13 @@ def test_audit_spider_fails_pendant_check():
 
 
 def test_audit_path_and_star_not_applicable():
-    rec2 = structural_audit(build_path(7), 2)
+    rec2 = structural_audit(build_path(7))
     assert not rec2.applicable
     assert rec2.passed
     assert rec2.hub is None
-    recn = structural_audit(build_star(7), 6)
+    recn = structural_audit(build_star(7))
     assert not recn.applicable
     assert recn.passed
-
-
-def test_audit_leaf_count_mismatch():
-    with pytest.raises(DomainError):
-        structural_audit(build_path(6), 3)
 
 
 # ------------------------------------------------------------ serialization
