@@ -11,12 +11,13 @@ which is what the climb exploits.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StaleEigenvectorError
-from .graphs import SignedCompleteGraph, Tree, _bfs_order, leaf_count
+from .graphs import SignedCompleteGraph, Tree, _bfs_order, canonical_code, leaf_count
 # Nothing here calls eigen_decompose; perfbench's restore test checks this binding
 # (test_traced_run_reports_every_layer_metric_and_restores_the_package).
 from .spectra import adjacency_matrix, eigen_decompose, tree_index  # noqa: F401
@@ -189,14 +190,18 @@ def trace_to_jsonl(trace: list[ClimbStep]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _candidate_moves(t: Tree) -> list[tuple[RotationMove, Tree]]:
+def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
     """All 1-edge exchanges that keep the negative set a spanning tree with
-    the same number of leaves, as rotation moves sorted by vertex tuple."""
+    the same number of leaves, as rotation moves sorted by vertex tuple.
+
+    Each candidate tree is built when the caller reaches it, so a climb
+    that accepts a move early builds none of the ones after it.
+    """
     n = t.n
     adj = t.adjacency()
     deg = t.degrees()
     k = leaf_count(t)
-    out = []
+    exchanges = []  # (move, removed edge, added edge)
     for c in range(n):
         _, parent = _bfs_order(adj, c)
         for d in range(c + 1, n):
@@ -223,10 +228,10 @@ def _candidate_moves(t: Tree) -> list[tuple[RotationMove, Tree]]:
                 else:
                     move = RotationMove("type_ii", (c, d, a, b))
                 edge_ab = (a, b) if a < b else (b, a)
-                new_tree = Tree(n, (t.edges - {edge_ab}) | {(c, d)})
-                out.append((move, new_tree))
-    out.sort(key=lambda mv: mv[0].vertices)
-    return out
+                exchanges.append((move, edge_ab, (c, d)))
+    exchanges.sort(key=lambda ex: ex[0].vertices)
+    for move, removed, added in exchanges:
+        yield move, Tree(n, (t.edges - {removed}) | {added})
 
 
 def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]]:
@@ -236,14 +241,29 @@ def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]
     leaf count, tried in lexicographic vertex order; a move is accepted as
     soon as the recomputed λ1 rises by more than IMPROVE_TOL.  Stops at a
     local maximum or after max_steps accepted moves.
+
+    Each tree class (canonical code) is solved at most once per climb, and
+    the climb is the one a scan solving every candidate would make.  λ1
+    only rises along a climb, so a class seen before was either rejected
+    then, with λ1 <= λ_then + IMPROVE_TOL <= λ_now + IMPROVE_TOL, or
+    accepted and then beaten; the full scan would reject it again.  (The
+    one exception is a λ1 within a few ulp of the threshold, which another
+    labelling of the class could land on the other side of.)  An accepted
+    candidate is always a class not seen before, solved on its own
+    labelling, so the λ1 bits in the trace are unchanged.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     current = start
     lam = tree_index(current)
+    seen = {canonical_code(current)}
     trace: list[ClimbStep] = []
     while len(trace) < max_steps:
         for move, new_tree in _candidate_moves(current):
+            code = canonical_code(new_tree)
+            if code in seen:
+                continue
+            seen.add(code)
             new_lam = tree_index(new_tree)
             if new_lam > lam + IMPROVE_TOL:
                 current = new_tree

@@ -50,12 +50,13 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, aligned unit eigenvector columns, and
-    the off-diagonal norm the solver achieved."""
+    """Eigenvalues sorted descending, aligned unit eigenvector columns, the
+    off-diagonal norm the solver achieved and the Jacobi sweeps it took."""
 
     values: np.ndarray
     vectors: np.ndarray
     tol: float
+    sweeps: int
 
     @property
     def n(self) -> int:
@@ -162,7 +163,7 @@ def eigen_decompose(m: SymMatrix) -> Spectrum:
     n = m.n
     w = np.hstack([m.entries, np.eye(n)])
     tol = JACOBI_REL_TOL * m.frobenius()
-    off, _ = _jacobi_sweeps(w, tol)
+    off, sweeps = _jacobi_sweeps(w, tol)
     if off > tol:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge: off-norm {off:.3e} > tol {tol:.3e}",
@@ -174,7 +175,7 @@ def eigen_decompose(m: SymMatrix) -> Spectrum:
     values.setflags(write=False)
     vectors = w[:, n:].T[:, order]
     vectors.setflags(write=False)
-    return Spectrum(values=values, vectors=vectors, tol=float(off))
+    return Spectrum(values=values, vectors=vectors, tol=float(off), sweeps=sweeps)
 
 
 def adjacency_matrix(g: SignedCompleteGraph) -> SymMatrix:

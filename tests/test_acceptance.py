@@ -14,10 +14,8 @@ import pytest
 from signedkn import (
     PruferSequence,
     RotationMove,
-    SignedCompleteGraph,
     SwitchSet,
     SymMatrix,
-    adjacency_matrix,
     apply_rotation,
     build_broom,
     build_star,

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signedkn import (
+    ClimbStep,
     DomainError,
     PreconditionError,
     PruferSequence,
@@ -32,8 +33,9 @@ from signedkn import (
     signed_complete_from_tree,
     top_eigenvector,
     trace_to_jsonl,
+    tree_index,
 )
-from signedkn import spectra
+from signedkn import perturb, spectra
 from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
 
 
@@ -315,7 +317,7 @@ def test_candidate_moves_match_exchange_oracle(classes_of):
             perm = list(range(n))
             rnd.shuffle(perm)
             for t in (cls, cls.relabel(perm)):
-                cands = _candidate_moves(t)
+                cands = list(_candidate_moves(t))
                 got = [new_tree.edges for _, new_tree in cands]
                 assert len(got) == len(set(got))
                 assert set(got) == _exchange_oracle(t)
@@ -390,6 +392,49 @@ def test_climb_max_steps_zero():
 def test_climb_validation():
     with pytest.raises(DomainError):
         hill_climb(build_broom(6, 3), max_steps=-1)
+
+
+def _full_scan_climb(start, max_steps=500):
+    """Reference climb that solves every candidate, repeats included."""
+    current, lam, trace = start, tree_index(start), []
+    while len(trace) < max_steps:
+        for move, new_tree in _candidate_moves(current):
+            new_lam = tree_index(new_tree)
+            if new_lam > lam + IMPROVE_TOL:
+                current, lam = new_tree, new_lam
+                trace.append(ClimbStep(len(trace) + 1, move.kind, move.vertices, new_lam))
+                break
+        else:
+            break
+    return current, trace
+
+
+def _cli_start(n, k, seed):
+    """The start tree that `signedkn climb --n n --k k --seed seed` draws."""
+    return random_tree_with_leaf_count(n, k, random.Random(seed))
+
+
+def test_climb_matches_full_scan_reference():
+    starts = [_cli_start(n, k, seed) for n in (8, 10) for k in range(2, n) for seed in (0, 1)]
+    starts.append(_cli_start(12, 4, 15))
+    for start in starts:
+        # == on ClimbStep compares every λ1 bit for bit
+        assert hill_climb(start) == _full_scan_climb(start)
+
+
+def test_climb_solves_each_class_once(monkeypatch):
+    solved = []
+
+    def recording_tree_index(t):
+        solved.append(canonical_code(t))
+        return tree_index(t)
+
+    monkeypatch.setattr(perturb, "tree_index", recording_tree_index)
+    for start in [_cli_start(12, 4, 15), *(_cli_start(8, k, 0) for k in range(2, 8))]:
+        solved.clear()
+        _, trace = hill_climb(start)
+        assert len(solved) > len(trace)
+        assert len(set(solved)) == len(solved)
 
 
 def test_climb_deterministic():

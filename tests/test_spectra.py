@@ -338,3 +338,11 @@ def test_spectrum_vectors_diagonalize():
     assert isinstance(s, Spectrum)
     assert np.max(np.abs(a @ s.vectors - s.vectors * s.values)) <= 1e-9
     assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(7))) <= 1e-12
+
+
+def test_spectrum_reports_sweeps():
+    diag = eigen_decompose(SymMatrix(4, np.diag([3.0, -1.0, 2.0, 0.5])))
+    assert diag.sweeps == 0
+    path = spectrum_of(signed_complete_from_tree(build_path(7)))
+    assert path.sweeps >= 1
+    assert "sweeps" not in path.to_json_dict()
