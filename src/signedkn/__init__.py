@@ -2,7 +2,6 @@
 spectra, balance, sign rotations, and extremal-tree search."""
 
 from .balance import (
-    SwitchSet,
     bipartition,
     cycle_sign,
     find_negative_triangle,
@@ -19,7 +18,6 @@ from .errors import (
     StaleEigenvectorError,
 )
 from .graphs import (
-    CanonicalTreeCode,
     PruferSequence,
     SignedCompleteGraph,
     Tree,

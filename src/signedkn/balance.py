@@ -7,26 +7,10 @@ to every triangle having positive sign product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .graphs import SignedCompleteGraph
-
-
-@dataclass(frozen=True)
-class SwitchSet:
-    """A subset of vertices; switching flips every edge across its cut."""
-
-    members: frozenset[int]
-
-    def __post_init__(self):
-        members = frozenset(int(v) for v in self.members)
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def of(cls, *vertices: int) -> "SwitchSet":
-        return cls(frozenset(vertices))
 
 
 def cycle_sign(g: SignedCompleteGraph, cycle: Sequence[int]) -> int:
@@ -80,12 +64,13 @@ def find_negative_triangle(g: SignedCompleteGraph) -> tuple[int, int, int] | Non
     return None
 
 
-def switch(g: SignedCompleteGraph, u: SwitchSet) -> SignedCompleteGraph:
-    """Flip the sign of every edge with exactly one endpoint in u."""
-    for v in u.members:
+def switch(g: SignedCompleteGraph, vertices: Iterable[int]) -> SignedCompleteGraph:
+    """Flip the sign of every edge with exactly one endpoint in the given
+    vertex set (repeats are ignored)."""
+    inside = frozenset(int(v) for v in vertices)
+    for v in inside:
         if not 0 <= v < g.n:
             raise DomainError(f"switch vertex {v} out of range for n={g.n}")
-    inside = u.members
     outside = [v for v in range(g.n) if v not in inside]
     cut = frozenset(
         (a, b) if a < b else (b, a) for a in inside for b in outside

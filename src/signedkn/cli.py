@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .balance import bipartition, find_negative_triangle, is_balanced
+from .balance import bipartition, find_negative_triangle
 from .errors import SignedKnError
 from .graphs import (
     PruferSequence,
@@ -142,8 +142,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_balance(args) -> int:
     t = _load_tree(args)
     g = signed_complete_from_tree(t)
-    if is_balanced(g):
-        plus, minus = bipartition(g)
+    split = bipartition(g)
+    if split is not None:
+        plus, minus = split
         payload = {
             "n": g.n,
             "balanced": True,
@@ -266,7 +267,7 @@ def _cmd_climb(args) -> int:
         "seed": args.seed,
         "start_prufer": format_prufer(prufer_encode(start)),
         "final_prufer": format_prufer(prufer_encode(final)),
-        "final_code": canonical_code(final).code,
+        "final_code": canonical_code(final),
         "final_lambda1": tree_index(final),
         "steps": len(trace),
     }
@@ -295,16 +296,15 @@ def _cmd_climb(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.k is not None:
         _check_leaf_count(args.n, args.k)
-    trees = enumerate_tree_classes(args.n, method=args.method)
-    if args.k is not None:
-        trees = [t for t in trees if leaf_count(t) == args.k]
+    classes = enumerate_tree_classes(args.n, method=args.method)
     rows = [
         {
-            "canonical_code": canonical_code(t).code,
+            "canonical_code": code,
             "prufer": format_prufer(prufer_encode(t)),
             "leaf_count": leaf_count(t),
         }
-        for t in trees
+        for code, t in classes.items()
+        if args.k is None or leaf_count(t) == args.k
     ]
     if args.format == "json":
         _emit(

@@ -210,18 +210,6 @@ def random_tree_with_leaf_count(n: int, k: int, rng: random.Random) -> Tree:
     return prufer_decode(PruferSequence(n, tuple(symbols)))
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalTreeCode:
-    """Isomorphism-invariant code of a free tree.
-
-    The code is a balanced string of '1'/'0' characters of length 2n, read
-    as open/close marks of an ordered rooted tree: equal codes if and only
-    if the underlying free trees are isomorphic.
-    """
-
-    code: str
-
-
 def _bfs_order(adj: Sequence[Sequence[int]], root: int):
     """Breadth-first order from root and each vertex's parent (-1 for the
     root and for vertices root cannot reach, which order leaves out)."""
@@ -271,13 +259,17 @@ def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
     return code[root]
 
 
-def canonical_code(t: Tree) -> CanonicalTreeCode:
-    """AHU-style code rooted at the centroid; for bicentroidal trees the
-    lexicographically smaller of the two rooted codes is used (both have
-    length 2n, so string order and numeric order agree)."""
+def canonical_code(t: Tree) -> str:
+    """Isomorphism-invariant code of a free tree.
+
+    The code is a balanced string of '1'/'0' characters of length 2n, read
+    as open/close marks of an ordered rooted tree: equal codes if and only
+    if the underlying free trees are isomorphic.  It is the AHU-style code
+    rooted at the centroid; for bicentroidal trees the lexicographically
+    smaller of the two rooted codes is used (both have length 2n, so string
+    order and numeric order agree)."""
     adj = t.adjacency()
-    codes = [_rooted_code(adj, c) for c in _centroids(t)]
-    return CanonicalTreeCode(min(codes))
+    return min(_rooted_code(adj, c) for c in _centroids(t))
 
 
 @dataclass(frozen=True)

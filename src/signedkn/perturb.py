@@ -201,7 +201,7 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
     adj = t.adjacency()
     deg = t.degrees()
     k = leaf_count(t)
-    exchanges = []  # (move, removed edge, added edge)
+    moves = []
     for c in range(n):
         _, parent = _bfs_order(adj, c)
         for d in range(c + 1, n):
@@ -224,14 +224,12 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
                     r = shared.pop()
                     s = d if r == c else c
                     tt = b if r == a else a
-                    move = RotationMove("type_i", (r, s, tt))
+                    moves.append(RotationMove("type_i", (r, s, tt)))
                 else:
-                    move = RotationMove("type_ii", (c, d, a, b))
-                edge_ab = (a, b) if a < b else (b, a)
-                exchanges.append((move, edge_ab, (c, d)))
-    exchanges.sort(key=lambda ex: ex[0].vertices)
-    for move, removed, added in exchanges:
-        yield move, Tree(n, (t.edges - {removed}) | {added})
+                    moves.append(RotationMove("type_ii", (c, d, a, b)))
+    moves.sort(key=lambda m: m.vertices)
+    for move in moves:
+        yield move, Tree(n, (t.edges - {move.negative_edge}) | {move.positive_edge})
 
 
 def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]]:

@@ -69,7 +69,7 @@ def _first_per_code(trees) -> dict[str, Tree]:
     """The first tree seen for each canonical code, keyed by that code."""
     reps: dict[str, Tree] = {}
     for t in trees:
-        reps.setdefault(canonical_code(t).code, t)
+        reps.setdefault(canonical_code(t), t)
     return reps
 
 
@@ -109,9 +109,9 @@ def _classes_by_generation(n: int) -> dict[str, Tree]:
     return reps
 
 
-def enumerate_tree_classes(n: int, method: str = "generate") -> list[Tree]:
+def enumerate_tree_classes(n: int, method: str = "generate") -> dict[str, Tree]:
     """One representative per free-tree isomorphism class on n vertices,
-    sorted by canonical code.
+    keyed by canonical code, in ascending code order.
 
     method "generate" (default) uses canonical generation; "prufer" decodes
     all n**(n-2) sequences and deduplicates by canonical code (n <= 9).
@@ -124,7 +124,7 @@ def enumerate_tree_classes(n: int, method: str = "generate") -> list[Tree]:
         reps = _classes_by_prufer(n)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
-    return [reps[code] for code in sorted(reps)]
+    return {code: reps[code] for code in sorted(reps)}
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,16 @@ class EnumerationCrossCheck:
 def cross_check_enumeration(n: int) -> EnumerationCrossCheck:
     gen = enumerate_tree_classes(n, method="generate")
     pru = enumerate_tree_classes(n, method="prufer")
-    same = [canonical_code(t).code for t in gen] == [
-        canonical_code(t).code for t in pru
-    ]
-    return EnumerationCrossCheck(n, len(gen), len(pru), same)
+    return EnumerationCrossCheck(n, len(gen), len(pru), list(gen) == list(pru))
 
 
-def enumerate_with_leaves(n: int, k: int) -> list[Tree]:
-    """The classes on n vertices with exactly k leaves."""
+def enumerate_with_leaves(n: int, k: int) -> dict[str, Tree]:
+    """The classes on n vertices with exactly k leaves, keyed by canonical
+    code in ascending order."""
     _check_leaf_count(n, k)
-    return [t for t in enumerate_tree_classes(n) if leaf_count(t) == k]
+    return {
+        code: t for code, t in enumerate_tree_classes(n).items() if leaf_count(t) == k
+    }
 
 
 @dataclass(frozen=True)
@@ -205,24 +205,24 @@ def verify_max_index(n: int, k: int) -> SearchReport:
     from the extremal statement; k = n-2 checks that the argmax is the
     double star with one pendant on one side, which the broom realizes).
     """
-    trees = enumerate_with_leaves(n, k)
-    lams = [tree_index(t) for t in trees]
+    classes = enumerate_with_leaves(n, k)
+    lams = [tree_index(t) for t in classes.values()]
     mx = max(lams)
     arg_i = lams.index(mx)
     records = tuple(
         ClassRecord(
-            canonical_code=canonical_code(t).code,
+            canonical_code=code,
             prufer=prufer_encode(t).symbols,
             leaf_count=k,
             lambda1=lam,
             is_argmax=(i == arg_i),
         )
-        for i, (t, lam) in enumerate(zip(trees, lams))
+        for i, ((code, t), lam) in enumerate(zip(classes.items(), lams))
     )
     tied = tuple(r.canonical_code for r, lam in zip(records, lams) if mx - lam <= TIE_TOL)
     others = [lam for i, lam in enumerate(lams) if i != arg_i]
     gap = (mx - max(others)) if others else None
-    broom_code = canonical_code(build_broom(n, k)).code
+    broom_code = canonical_code(build_broom(n, k))
     return SearchReport(
         n=n,
         k=k,

@@ -28,21 +28,25 @@ _SUM_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A real symmetric n x n matrix.  Entries are copied and frozen."""
+    """A real symmetric n x n matrix.  Entries are copied and frozen; n is
+    read from their shape."""
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=np.float64)
-        if a.shape != (self.n, self.n):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantViolationError(
-                f"expected a {self.n}x{self.n} matrix, got shape {a.shape}"
+                f"expected a square matrix, got shape {a.shape}"
             )
         if not np.array_equal(a, a.T):
             raise InvariantViolationError("matrix is not symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -184,7 +188,7 @@ def adjacency_matrix(g: SignedCompleteGraph) -> SymMatrix:
     for u, v in g.negative_edges:
         a[u, v] = -1.0
         a[v, u] = -1.0
-    return SymMatrix(g.n, a)
+    return SymMatrix(a)
 
 
 def spectrum_of(g: SignedCompleteGraph) -> Spectrum:

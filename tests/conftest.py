@@ -15,12 +15,13 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def classes_of():
-    """Memoized isomorphism-class enumeration shared across test modules."""
+    """Memoized isomorphism-class enumeration shared across test modules:
+    one representative tree per class, in canonical-code order."""
     cache: dict[int, tuple] = {}
 
     def get(n: int):
         if n not in cache:
-            cache[n] = enumerate_tree_classes(n)
+            cache[n] = tuple(enumerate_tree_classes(n).values())
         return cache[n]
 
     return get

@@ -10,7 +10,6 @@ from signedkn import (
     DomainError,
     PruferSequence,
     SignedCompleteGraph,
-    SwitchSet,
     bipartition,
     build_path,
     build_star,
@@ -158,25 +157,25 @@ def test_star_bipartition_isolates_center():
 
 def test_switch_identity_sets():
     g = signed_complete_from_tree(build_path(6))
-    assert switch(g, SwitchSet.of()) == g
-    assert switch(g, SwitchSet.of(*range(6))) == g
+    assert switch(g, ()) == g
+    assert switch(g, range(6)) == g
 
 
 def test_switch_star_center_clears_negatives():
     g = signed_complete_from_tree(build_star(6))
-    assert switch(g, SwitchSet.of(0)).negative_edges == frozenset()
+    assert switch(g, (0,)).negative_edges == frozenset()
 
 
 def test_switch_known_cut():
     g = SignedCompleteGraph(3, frozenset())
-    h = switch(g, SwitchSet.of(0))
+    h = switch(g, (0,))
     assert h.negative_edges == frozenset({(0, 1), (0, 2)})
 
 
 def test_switch_validation():
     g = signed_complete_from_tree(build_path(4))
     with pytest.raises(DomainError):
-        switch(g, SwitchSet.of(4))
+        switch(g, (4,))
 
 
 @given(
@@ -193,7 +192,7 @@ def test_switch_is_involution(args):
     g = signed_complete_from_tree(
         prufer_decode(PruferSequence(n, tuple(b % n for b in bits)))
     )
-    u = SwitchSet.of(*{x % n for x in raw})
+    u = {x % n for x in raw}
     assert switch(switch(g, u), u) == g
 
 
@@ -202,7 +201,7 @@ def test_switch_preserves_spectrum_and_balance():
     for _ in range(30):
         n = rnd.randrange(3, 13)
         g = signed_complete_from_tree(random_tree(n, rnd))
-        u = SwitchSet.of(*(v for v in range(n) if rnd.random() < 0.5))
+        u = [v for v in range(n) if rnd.random() < 0.5]
         h = switch(g, u)
         sg = spectrum_of(g)
         sh = spectrum_of(h)
@@ -212,6 +211,6 @@ def test_switch_preserves_spectrum_and_balance():
 
 def test_switch_complement_set_same_result():
     g = signed_complete_from_tree(build_path(5))
-    u = SwitchSet.of(0, 2)
-    comp = SwitchSet.of(1, 3, 4)
+    u = (0, 2)
+    comp = (1, 3, 4)
     assert switch(g, u) == switch(g, comp)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signedkn import (
-    CanonicalTreeCode,
     PruferSequence,
     build_broom,
     build_double_star,
@@ -26,7 +25,7 @@ def random_permutation(n, seed):
 
 def test_code_shape():
     for t in (build_path(6), build_star(6), build_broom(9, 4)):
-        code = canonical_code(t).code
+        code = canonical_code(t)
         assert len(code) == 2 * t.n
         assert set(code) <= {"0", "1"}
         # balanced and never dipping below zero, like matched parens
@@ -38,9 +37,9 @@ def test_code_shape():
 
 
 def test_known_small_codes():
-    assert canonical_code(prufer_decode(PruferSequence(2, ()))).code == "1100"
-    assert canonical_code(build_path(4)).code == "11011000"
-    assert canonical_code(build_star(4)).code == "11010100"
+    assert canonical_code(prufer_decode(PruferSequence(2, ()))) == "1100"
+    assert canonical_code(build_path(4)) == "11011000"
+    assert canonical_code(build_star(4)) == "11010100"
 
 
 def test_path_perms_collapse():
@@ -62,22 +61,15 @@ def test_distinct_families_separate():
         build_double_star(2, 4),
         build_double_star(3, 3),
     ]
-    codes = [canonical_code(t).code for t in trees]
+    codes = [canonical_code(t) for t in trees]
     assert len(set(codes)) == len(codes)
 
 
 def test_bicentroid_consistency():
     # even paths have two centroids; both rootings must give one answer
     p = build_path(6)
-    codes = {canonical_code(p.relabel(random_permutation(6, s))).code for s in range(30)}
+    codes = {canonical_code(p.relabel(random_permutation(6, s))) for s in range(30)}
     assert len(codes) == 1
-
-
-def test_code_ordering_is_total():
-    a = CanonicalTreeCode("11011000")
-    b = CanonicalTreeCode("11010100")
-    assert (a < b) != (b < a)
-    assert sorted([a, b]) == sorted([b, a])
 
 
 @given(
@@ -101,5 +93,5 @@ def test_exhaustive_class_collapse_n5():
     # every labeled tree on 5 vertices lands on one of exactly 3 codes
     codes = set()
     for symbols in itertools.product(range(5), repeat=3):
-        codes.add(canonical_code(prufer_decode(PruferSequence(5, symbols))).code)
+        codes.add(canonical_code(prufer_decode(PruferSequence(5, symbols))))
     assert len(codes) == 3

@@ -1,11 +1,17 @@
-"""Unused-import guard: every name a module imports must be referenced in it.
+"""Source hygiene guards.
 
-No linter ships with the package, so this parses the sources with ast.
+Unused imports: every name a module imports must be referenced in it.  No
+linter ships with the package, so this parses the sources with ast.
 `__init__.py` re-exports names and is exempt, and so is any import
 statement marked `# noqa: F401`.
+
+Doc drift: every name README's entry-point list gives for a module must
+exist in that module.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -63,3 +69,23 @@ def test_guard_flags_unused_and_honours_noqa():
         "    return numpy.linalg.norm(x) * pi\n"
     )
     assert unused_imports(src) == [("os", 2), ("osp", 2), ("tau", 5)]
+
+
+def readme_entry_points(text: str) -> dict[str, list[str]]:
+    """module -> backticked identifiers of its bullet in README's "The main
+    entry points" list (a bullet runs on over its indented lines)."""
+    section = text.split("The main entry points:", 1)[1].split("\n\n", 2)[1]
+    out: dict[str, list[str]] = {}
+    for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+        module, _, rest = bullet.partition(":")
+        out[module.strip("`")] = re.findall(r"`([A-Za-z_]\w*)`", rest)
+    return out
+
+
+def test_readme_entry_points_exist():
+    entries = readme_entry_points((ROOT / "README.md").read_text())
+    assert entries
+    for module, names in entries.items():
+        mod = importlib.import_module(f"signedkn.{module}")
+        assert names, module
+        assert [n for n in names if not hasattr(mod, n)] == [], module

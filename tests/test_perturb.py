@@ -374,7 +374,7 @@ def test_climb_reaches_global_max_n6():
     for k in range(2, 6):
         best = max(
             index(signed_complete_from_tree(t))
-            for t in enumerate_with_leaves(6, k)
+            for t in enumerate_with_leaves(6, k).values()
         )
         for _ in range(5):
             start = random_tree_with_leaf_count(6, k, rnd)

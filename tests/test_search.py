@@ -28,6 +28,7 @@ from signedkn import (
     tree_index,
     verify_max_index,
 )
+from signedkn import search
 from signedkn.search import CSV_COLUMNS, FREE_TREE_COUNTS
 
 # classes with exactly k leaves, tabulated from the full enumeration once
@@ -50,7 +51,7 @@ def test_class_counts_match_known_sequence(classes_of):
 def test_representatives_are_valid_and_sorted(classes_of):
     for n in (5, 8, 10):
         trees = classes_of(n)
-        codes = [canonical_code(t).code for t in trees]
+        codes = [canonical_code(t) for t in trees]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
         for t in trees:
@@ -66,12 +67,13 @@ def test_prufer_route_matches_generation():
     # first sequence, found here by brute force over all 6**4 sequences
     first: dict[str, tuple[int, ...]] = {}
     for symbols in sorted(itertools.product(range(6), repeat=4)):
-        code = canonical_code(prufer_decode(PruferSequence(6, symbols))).code
+        code = canonical_code(prufer_decode(PruferSequence(6, symbols)))
         first.setdefault(code, symbols)
     reps = enumerate_tree_classes(6, method="prufer")
     assert len(reps) == len(first) == FREE_TREE_COUNTS[6]
-    for t in reps:
-        assert prufer_encode(t).symbols == first[canonical_code(t).code]
+    for code, t in reps.items():
+        assert canonical_code(t) == code
+        assert prufer_encode(t).symbols == first[code]
 
 
 def test_enumeration_validation():
@@ -93,12 +95,8 @@ def test_leaf_partition(classes_of):
 
 
 def test_leaf_classes_extremes():
-    assert [canonical_code(t) for t in enumerate_with_leaves(7, 2)] == [
-        canonical_code(build_path(7))
-    ]
-    assert [canonical_code(t) for t in enumerate_with_leaves(7, 6)] == [
-        canonical_code(build_star(7))
-    ]
+    assert list(enumerate_with_leaves(7, 2)) == [canonical_code(build_path(7))]
+    assert list(enumerate_with_leaves(7, 6)) == [canonical_code(build_star(7))]
     assert len(enumerate_with_leaves(7, 3)) == 3
 
 
@@ -117,7 +115,7 @@ def test_verify_6_3_golden():
     assert isinstance(r, SearchReport)
     assert r.mode == "reduced"
     assert r.matches_broom
-    assert r.argmax_code == canonical_code(build_broom(6, 3)).code
+    assert r.argmax_code == canonical_code(build_broom(6, 3))
     assert len(r.classes) == 2
     assert r.tied_codes == (r.argmax_code,)
     assert r.runner_up_gap == pytest.approx(0.387054170662108, abs=1e-9)
@@ -133,9 +131,22 @@ def test_verify_records_consistent():
     assert best.canonical_code == r.argmax_code
     for c in r.classes:
         t = prufer_decode(PruferSequence(r.n, c.prufer))
-        assert canonical_code(t).code == c.canonical_code
+        assert canonical_code(t) == c.canonical_code
         assert leaf_count(t) == c.leaf_count == r.k
         assert tree_index(t) == pytest.approx(c.lambda1, abs=1e-12)
+
+
+def test_verify_canonicalises_each_class_once(monkeypatch):
+    # one code per class at n, taken from the enumeration, plus the broom's
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return canonical_code(t)
+
+    monkeypatch.setattr(search, "canonical_code", counted)
+    verify_max_index(8, 4)
+    assert len(calls) == FREE_TREE_COUNTS[8] + 1
 
 
 def test_verify_edge_modes():
@@ -198,7 +209,7 @@ def test_chain_end_is_k_n_minus_2_argmax():
     last = double_star_chain(n)[-1]
     assert last[:2] == (1, 5)
     r = verify_max_index(n, n - 2)
-    assert r.argmax_code == canonical_code(build_double_star(1, n - 3)).code
+    assert r.argmax_code == canonical_code(build_double_star(1, n - 3))
     assert canonical_code(build_double_star(1, n - 3)) == canonical_code(
         build_broom(n, n - 2)
     )

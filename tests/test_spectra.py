@@ -38,7 +38,7 @@ from signedkn.spectra import JACOBI_REL_TOL
 
 
 def decomp(a, **kw):
-    return eigen_decompose(SymMatrix(a.shape[0], a), **kw)
+    return eigen_decompose(SymMatrix(a), **kw)
 
 
 def random_signed_adjacency(n, rnd):
@@ -60,16 +60,17 @@ def random_tree_graph(n, rnd):
 
 def test_symmatrix_validation():
     with pytest.raises(InvariantViolationError):
-        SymMatrix(2, np.array([[0.0, 1.0], [2.0, 0.0]]))
+        SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(InvariantViolationError):
-        SymMatrix(2, np.zeros((2, 3)))
+        SymMatrix(np.zeros((2, 3)))
     with pytest.raises(InvariantViolationError):
-        SymMatrix(4, np.zeros((2, 2)))
+        SymMatrix(np.zeros(3))
+    assert SymMatrix(np.zeros((4, 4))).n == 4
 
 
 def test_symmatrix_copies_and_freezes():
     src = np.zeros((3, 3))
-    m = SymMatrix(3, src)
+    m = SymMatrix(src)
     src[0, 1] = src[1, 0] = 5.0
     assert m.entries[0, 1] == 0.0
     with pytest.raises(ValueError):
@@ -158,7 +159,7 @@ def test_eigenpair_residuals():
         n = rnd.randrange(3, 20)
         a = random_signed_adjacency(n, rnd)
         s = decomp(a)
-        m = SymMatrix(n, a)
+        m = SymMatrix(a)
         for i in range(n):
             assert residual(m, s.values[i], s.vectors[:, i]) <= 1e-8
 
@@ -243,7 +244,7 @@ def test_convergence_error_carries_norm(monkeypatch):
 
 def test_scaling_equivariance():
     m1 = adjacency_matrix(signed_complete_from_tree(build_path(5)))
-    m2 = SymMatrix(5, 1e6 * m1.entries)
+    m2 = SymMatrix(1e6 * m1.entries)
     s1 = eigen_decompose(m1)
     s2 = eigen_decompose(m2)
     assert np.max(np.abs(s2.values / 1e6 - s1.values)) <= 1e-9
@@ -341,7 +342,7 @@ def test_spectrum_vectors_diagonalize():
 
 
 def test_spectrum_reports_sweeps():
-    diag = eigen_decompose(SymMatrix(4, np.diag([3.0, -1.0, 2.0, 0.5])))
+    diag = eigen_decompose(SymMatrix(np.diag([3.0, -1.0, 2.0, 0.5])))
     assert diag.sweeps == 0
     path = spectrum_of(signed_complete_from_tree(build_path(7)))
     assert path.sweeps >= 1
