@@ -5,7 +5,13 @@ double-star chain, and structural audits of argmax trees.
 Two independent enumeration routes are kept deliberately:
 
   (a) decode every Prufer sequence and deduplicate by canonical code
-      (supported for n <= 9; the n=9 sweep covers 9**7 sequences);
+      (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
+      numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
+      at a time, one leaf-peel step per symbol position, and computes each
+      row's centroid-rooted AHU code as an integer whose binary digits are
+      canonical_code's string.  Only the first sequence of each class goes
+      through the scalar prufer_decode and canonical_code, which must
+      agree with the kernel;
   (b) canonical free-tree generation (networkx's implementation of the
       Wright/Richmond/Odlyzko/McKay algorithm) for all n <= 12.
 
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InvariantViolationError
 from .graphs import (
@@ -64,6 +71,10 @@ TIE_TOL = 1e-9
 # Successive chain values must rise by more than this.
 CHAIN_GAP_TOL = 1e-9
 
+# Rows of the Prufer route decoded together.  Each block works on a few
+# (PRUFER_BLOCK, n) arrays, so the route's memory stays flat in n**(n-2).
+PRUFER_BLOCK = 512
+
 
 def _first_per_code(trees) -> dict[str, Tree]:
     """The first tree seen for each canonical code, keyed by that code."""
@@ -73,17 +84,153 @@ def _first_per_code(trees) -> dict[str, Tree]:
     return reps
 
 
+def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the base-n order of all Prufer sequences, as
+    itertools.product(range(n), repeat=n-2) lists them: row i spells i in
+    base n, most significant symbol first."""
+    if n == 2:  # the one empty sequence
+        return np.zeros((stop - start, 0), np.int32)
+    digits = np.unravel_index(np.arange(start, stop), (n,) * (n - 2))
+    return np.stack(digits, axis=1).astype(np.int32)
+
+
+def _peel(symbols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a block of Prufer rows together, one leaf-peel step per
+    symbol position, taking the smallest degree-1 vertex as prufer_decode
+    does.
+
+    Returns (parent, heaviest).  parent[r, v] is v's neighbour toward n-1
+    in row r's tree, and n-1 is its own parent.  heaviest[r, v] is the
+    order of the largest component left when v is removed, from subtree
+    sizes accumulated along the peel, which is leaves-first from n-1."""
+    b, m = symbols.shape
+    rows = np.arange(b)
+    deg = np.ones((b, n), np.int32)
+    for j in range(m):
+        deg[rows, symbols[:, j]] += 1
+    parent = np.full((b, n), n - 1, np.int32)
+    size = np.ones((b, n), np.int32)
+    heaviest = np.zeros((b, n), np.int32)
+
+    def join(leaf, p):
+        parent[rows, leaf] = p
+        deg[rows, leaf] = 0
+        deg[rows, p] -= 1
+        sub = size[rows, leaf]
+        size[rows, p] += sub
+        heaviest[rows, p] = np.maximum(heaviest[rows, p], sub)
+
+    for j in range(m):
+        join(np.argmax(deg == 1, axis=1), symbols[:, j])
+    # The heap never pops n-1 while another leaf is left, so the last edge
+    # joins n-1 to the one other vertex still of degree 1.  Every degree is
+    # used up after it exactly when those two were all that was left.
+    join(np.argmax(deg == 1, axis=1), n - 1)
+    if deg.any():
+        raise InvariantViolationError(
+            f"Prufer peel at n={n} did not end on two leaves, one of them {n - 1}"
+        )
+    return parent, np.maximum(heaviest, n - size)
+
+
+def _rooted_keys(parent: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The AHU code of each row's tree rooted at root[r], a centroid, as
+    the integer whose binary digits are _rooted_code's '1'/'0' string
+    (2n <= 18 bits).  parent is rooted at n-1, as _peel returns it.
+
+    A code starts with '1', so ordering codes by (length, string), as
+    _rooted_code sorts children, is ordering the integers.  Children are
+    joined level by level, deepest first."""
+    b, n = parent.shape
+    rows = np.arange(b)
+    # Re-root: reverse the parent pointers on the path from root up to n-1.
+    # Every vertex lies within n // 2 edges of a centroid: the part of the
+    # tree beyond the centroid that holds it has at most n // 2 vertices.
+    up = parent.copy()
+    up[rows, root] = root
+    cur = root
+    for _ in range(n // 2):
+        nxt = parent[rows, cur]
+        up[rows, nxt] = np.where(nxt == cur, up[rows, nxt], cur)
+        cur = nxt
+    # Depth below root: walk every vertex up n // 2 steps; all must arrive.
+    depth = np.zeros((b, n), np.int32)
+    anc = np.broadcast_to(np.arange(n, dtype=np.int32), (b, n))
+    for _ in range(n // 2):
+        depth += anc != root[:, None]
+        anc = up[rows[:, None], anc]
+    if not (anc == root[:, None]).all():
+        raise InvariantViolationError(
+            f"not all {n} vertices are reached from the centroid within {n // 2} levels"
+        )
+    code = np.full((b, n), 2, np.int32)  # a leaf is "10"
+    length = np.full((b, n), 2, np.int32)
+    for d in range(int(depth.max()), 0, -1):
+        r, v = np.nonzero(depth == d)
+        group = r * n + up[r, v]
+        kid = code[r, v]
+        # np.unique sorts with this kind too, and one kind keeps less numpy
+        # code resident; the order of equal keys (equal children) is moot
+        by = np.argsort((group << 2 * n) | kid, kind="stable")
+        group, kid, kid_len = group[by], kid[by], length[r, v][by]
+        first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+        stop = np.r_[first[1:], len(group)]
+        ends = np.cumsum(kid_len)
+        # each child is shifted past its later siblings
+        shift = np.repeat(ends[stop - 1], stop - first) - ends
+        joined = np.add.reduceat(kid << shift, first)
+        total = np.add.reduceat(kid_len, first)
+        pr, pv = np.divmod(group[first], n)
+        code[pr, pv] = (1 << (total + 1)) | (joined << 1)
+        length[pr, pv] = total + 2
+    return code[rows, root].astype(np.int64)
+
+
+def _block_keys(symbols: np.ndarray, n: int) -> np.ndarray:
+    """canonical_code of each row's tree, as an int64 (see _rooted_keys);
+    a bicentroidal tree takes the smaller of its two rooted codes."""
+    parent, heaviest = _peel(symbols, n)
+    centroid = heaviest <= n // 2
+    c1 = np.argmax(centroid, axis=1)
+    c2 = n - 1 - np.argmax(centroid[:, ::-1], axis=1)
+    two = np.flatnonzero(c1 != c2)
+    # one pass roots every row at c1 and the bicentroidal rows again at c2
+    keys = _rooted_keys(
+        np.concatenate([parent, parent[two]]), np.concatenate([c1, c2[two]])
+    )
+    b = len(parent)
+    keys[two] = np.minimum(keys[two], keys[b:])
+    return keys[:b]
+
+
 def _classes_by_prufer(n: int) -> dict[str, Tree]:
-    """Decode every sequence in base-n order and keep the first one seen
-    for each canonical code."""
+    """Decode every sequence in base-n order, PRUFER_BLOCK rows at a time,
+    and keep the first one seen for each canonical code.
+
+    Only each class's first sequence goes through the scalar
+    prufer_decode and canonical_code, whose string must spell the key."""
     if n > MAX_PRUFER_N:
         raise DomainError(
             f"Prufer enumeration supported for n <= {MAX_PRUFER_N}, got {n}"
         )
-    return _first_per_code(
-        prufer_decode(PruferSequence(n, symbols))
-        for symbols in itertools.product(range(n), repeat=n - 2)
-    )
+    total = n ** (n - 2)
+    first: dict[int, int] = {}
+    for start in range(0, total, PRUFER_BLOCK):
+        keys = _block_keys(_block_symbols(n, start, min(start + PRUFER_BLOCK, total)), n)
+        uniq, at = np.unique(keys, return_index=True)
+        for key, i in zip(uniq.tolist(), at.tolist()):
+            first.setdefault(key, start + i)
+    reps: dict[str, Tree] = {}
+    for key, i in first.items():
+        t = prufer_decode(PruferSequence(n, _block_symbols(n, i, i + 1)[0]))
+        code = canonical_code(t)
+        if code != format(key, "b"):
+            raise InvariantViolationError(
+                f"Prufer kernel key {format(key, 'b')} of row {i} at n={n} "
+                f"differs from its canonical code {code}"
+            )
+        reps[code] = t
+    return reps
 
 
 def _classes_by_generation(n: int) -> dict[str, Tree]:

@@ -2,11 +2,14 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from signedkn import (
     DomainError,
+    InvariantViolationError,
     PruferSequence,
     SearchReport,
     Tree,
@@ -64,16 +67,65 @@ def test_prufer_route_matches_generation():
         assert chk.ok
         assert chk.count_generation == FREE_TREE_COUNTS[n]
     # each Prufer-route representative is its class's lexicographically
-    # first sequence, found here by brute force over all 6**4 sequences
-    first: dict[str, tuple[int, ...]] = {}
-    for symbols in sorted(itertools.product(range(6), repeat=4)):
-        code = canonical_code(prufer_decode(PruferSequence(6, symbols)))
-        first.setdefault(code, symbols)
-    reps = enumerate_tree_classes(6, method="prufer")
-    assert len(reps) == len(first) == FREE_TREE_COUNTS[6]
-    for code, t in reps.items():
-        assert canonical_code(t) == code
-        assert prufer_encode(t).symbols == first[code]
+    # first sequence, found here by brute force over all n**(n-2) sequences
+    for n in (6, 7):
+        first: dict[str, tuple[int, ...]] = {}
+        for symbols in sorted(itertools.product(range(n), repeat=n - 2)):
+            code = canonical_code(prufer_decode(PruferSequence(n, symbols)))
+            first.setdefault(code, symbols)
+        reps = enumerate_tree_classes(n, method="prufer")
+        assert len(reps) == len(first) == FREE_TREE_COUNTS[n]
+        for code, t in reps.items():
+            assert canonical_code(t) == code
+            assert prufer_encode(t).symbols == first[code]
+
+
+def test_prufer_kernel_agrees_with_scalar_codec():
+    # every row at n = 4..7: the block decode gives prufer_decode's edges,
+    # and the integer key spells canonical_code's string
+    for n in range(4, 8):
+        symbols = search._block_symbols(n, 0, n ** (n - 2))
+        assert symbols.tolist() == [
+            list(s) for s in itertools.product(range(n), repeat=n - 2)
+        ]
+        parent, _ = search._peel(symbols, n)
+        keys = search._block_keys(symbols, n)
+        for row, up, key in zip(symbols.tolist(), parent.tolist(), keys.tolist()):
+            t = prufer_decode(PruferSequence(n, row))
+            assert {(min(v, p), max(v, p)) for v, p in enumerate(up) if v != p} == t.edges
+            assert format(key, "b") == canonical_code(t)
+
+
+def test_prufer_route_ignores_block_boundaries(monkeypatch):
+    default = enumerate_tree_classes(7, method="prufer")
+    monkeypatch.setattr(search, "PRUFER_BLOCK", 7)
+    small = enumerate_tree_classes(7, method="prufer")
+    assert list(small) == list(default)
+    assert small == default
+
+
+def test_prufer_route_streams_blocks():
+    # all 8**6 rows of symbols alone, as int64, would take 12.6 MB
+    tracemalloc.start()
+    try:
+        enumerate_tree_classes(8, method="prufer")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
+    # one symbol short: three degree-1 vertices are left after the peel
+    with pytest.raises(InvariantViolationError):
+        search._peel(np.array([[0, 1]]), 5)
+    # vertices 0 and 1 point at each other and never reach the root 3
+    with pytest.raises(InvariantViolationError):
+        search._rooted_keys(np.array([[1, 0, 3, 3]]), np.array([3]))
+    # a representative whose scalar code disagrees with its key
+    monkeypatch.setattr(search, "canonical_code", lambda t: "10")
+    with pytest.raises(InvariantViolationError):
+        enumerate_tree_classes(5, method="prufer")
 
 
 def test_enumeration_validation():
