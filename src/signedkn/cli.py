@@ -111,6 +111,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once: each parser holds reference cycles that only the cyclic
+# collector frees, so one per call piles up garbage across in-process calls.
+_PARSER = _build_parser()
+
+
 def _load_tree(args) -> Tree:
     if args.prufer is not None:
         return prufer_decode(parse_prufer(args.prufer))
@@ -338,9 +343,8 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

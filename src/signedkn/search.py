@@ -7,11 +7,12 @@ Two independent enumeration routes are kept deliberately:
   (a) decode every Prufer sequence and deduplicate by canonical code
       (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
       numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
-      at a time, one leaf-peel step per symbol position, and computes each
-      row's centroid-rooted AHU code as an integer whose binary digits are
-      canonical_code's string.  Only the first sequence of each class goes
-      through the scalar prufer_decode and canonical_code, which must
-      agree with the kernel;
+      at a time, one leaf-peel step per symbol position, which roots each
+      tree at n-1, and keys each row by its AHU code rooted there, an
+      integer whose binary digits are _rooted_code's string.  Only the
+      first sequence of each rooted class goes through the scalar
+      prufer_decode, whose rooted code must agree with the kernel, and
+      canonical_code, which merges the rooted classes into free ones;
   (b) canonical free-tree generation (networkx's implementation of the
       Wright/Richmond/Odlyzko/McKay algorithm) for all n <= 12.
 
@@ -33,6 +34,7 @@ from .graphs import (
     PruferSequence,
     Tree,
     _check_leaf_count,
+    _rooted_code,
     build_broom,
     build_double_star,
     build_path,
@@ -76,14 +78,6 @@ CHAIN_GAP_TOL = 1e-9
 PRUFER_BLOCK = 512
 
 
-def _first_per_code(trees) -> dict[str, Tree]:
-    """The first tree seen for each canonical code, keyed by that code."""
-    reps: dict[str, Tree] = {}
-    for t in trees:
-        reps.setdefault(canonical_code(t), t)
-    return reps
-
-
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the base-n order of all Prufer sequences, as
     itertools.product(range(n), repeat=n-2) lists them: row i spells i in
@@ -94,31 +88,24 @@ def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     return np.stack(digits, axis=1).astype(np.int32)
 
 
-def _peel(symbols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
     """Decode a block of Prufer rows together, one leaf-peel step per
     symbol position, taking the smallest degree-1 vertex as prufer_decode
     does.
 
-    Returns (parent, heaviest).  parent[r, v] is v's neighbour toward n-1
-    in row r's tree, and n-1 is its own parent.  heaviest[r, v] is the
-    order of the largest component left when v is removed, from subtree
-    sizes accumulated along the peel, which is leaves-first from n-1."""
+    parent[r, v] is v's neighbour toward n-1 in row r's tree, and n-1 is
+    its own parent."""
     b, m = symbols.shape
     rows = np.arange(b)
     deg = np.ones((b, n), np.int32)
     for j in range(m):
         deg[rows, symbols[:, j]] += 1
     parent = np.full((b, n), n - 1, np.int32)
-    size = np.ones((b, n), np.int32)
-    heaviest = np.zeros((b, n), np.int32)
 
     def join(leaf, p):
         parent[rows, leaf] = p
         deg[rows, leaf] = 0
         deg[rows, p] -= 1
-        sub = size[rows, leaf]
-        size[rows, p] += sub
-        heaviest[rows, p] = np.maximum(heaviest[rows, p], sub)
 
     for j in range(m):
         join(np.argmax(deg == 1, axis=1), symbols[:, j])
@@ -130,44 +117,34 @@ def _peel(symbols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvariantViolationError(
             f"Prufer peel at n={n} did not end on two leaves, one of them {n - 1}"
         )
-    return parent, np.maximum(heaviest, n - size)
+    return parent
 
 
-def _rooted_keys(parent: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The AHU code of each row's tree rooted at root[r], a centroid, as
-    the integer whose binary digits are _rooted_code's '1'/'0' string
-    (2n <= 18 bits).  parent is rooted at n-1, as _peel returns it.
+def _rooted_keys(parent: np.ndarray) -> np.ndarray:
+    """The AHU code of each row's tree rooted at n-1, as the integer whose
+    binary digits are _rooted_code's '1'/'0' string (2n <= 18 bits).
+    parent is rooted at n-1, as _peel returns it.
 
     A code starts with '1', so ordering codes by (length, string), as
     _rooted_code sorts children, is ordering the integers.  Children are
     joined level by level, deepest first."""
     b, n = parent.shape
     rows = np.arange(b)
-    # Re-root: reverse the parent pointers on the path from root up to n-1.
-    # Every vertex lies within n // 2 edges of a centroid: the part of the
-    # tree beyond the centroid that holds it has at most n // 2 vertices.
-    up = parent.copy()
-    up[rows, root] = root
-    cur = root
-    for _ in range(n // 2):
-        nxt = parent[rows, cur]
-        up[rows, nxt] = np.where(nxt == cur, up[rows, nxt], cur)
-        cur = nxt
-    # Depth below root: walk every vertex up n // 2 steps; all must arrive.
+    # Depth below n-1: walk every vertex up n-1 steps; all must arrive.
     depth = np.zeros((b, n), np.int32)
     anc = np.broadcast_to(np.arange(n, dtype=np.int32), (b, n))
-    for _ in range(n // 2):
-        depth += anc != root[:, None]
-        anc = up[rows[:, None], anc]
-    if not (anc == root[:, None]).all():
+    for _ in range(n - 1):
+        depth += anc != n - 1
+        anc = parent[rows[:, None], anc]
+    if not (anc == n - 1).all():
         raise InvariantViolationError(
-            f"not all {n} vertices are reached from the centroid within {n // 2} levels"
+            f"not all {n} vertices are reached from {n - 1} within {n - 1} levels"
         )
     code = np.full((b, n), 2, np.int32)  # a leaf is "10"
     length = np.full((b, n), 2, np.int32)
     for d in range(int(depth.max()), 0, -1):
         r, v = np.nonzero(depth == d)
-        group = r * n + up[r, v]
+        group = r * n + parent[r, v]
         kid = code[r, v]
         # np.unique sorts with this kind too, and one kind keeps less numpy
         # code resident; the order of equal keys (equal children) is moot
@@ -183,32 +160,18 @@ def _rooted_keys(parent: np.ndarray, root: np.ndarray) -> np.ndarray:
         pr, pv = np.divmod(group[first], n)
         code[pr, pv] = (1 << (total + 1)) | (joined << 1)
         length[pr, pv] = total + 2
-    return code[rows, root].astype(np.int64)
-
-
-def _block_keys(symbols: np.ndarray, n: int) -> np.ndarray:
-    """canonical_code of each row's tree, as an int64 (see _rooted_keys);
-    a bicentroidal tree takes the smaller of its two rooted codes."""
-    parent, heaviest = _peel(symbols, n)
-    centroid = heaviest <= n // 2
-    c1 = np.argmax(centroid, axis=1)
-    c2 = n - 1 - np.argmax(centroid[:, ::-1], axis=1)
-    two = np.flatnonzero(c1 != c2)
-    # one pass roots every row at c1 and the bicentroidal rows again at c2
-    keys = _rooted_keys(
-        np.concatenate([parent, parent[two]]), np.concatenate([c1, c2[two]])
-    )
-    b = len(parent)
-    keys[two] = np.minimum(keys[two], keys[b:])
-    return keys[:b]
+    return code[:, n - 1].astype(np.int64)
 
 
 def _classes_by_prufer(n: int) -> dict[str, Tree]:
     """Decode every sequence in base-n order, PRUFER_BLOCK rows at a time,
-    and keep the first one seen for each canonical code.
+    key each row by its tree's code rooted at n-1, and keep the first row
+    seen for each key.
 
-    Only each class's first sequence goes through the scalar
-    prufer_decode and canonical_code, whose string must spell the key."""
+    Rooted-isomorphic trees are isomorphic, so only these rooted classes
+    go through the scalar prufer_decode, whose _rooted_code must spell the
+    key.  Walked in row order, they keep the first tree per canonical_code,
+    which is then the first sequence of its free class."""
     if n > MAX_PRUFER_N:
         raise DomainError(
             f"Prufer enumeration supported for n <= {MAX_PRUFER_N}, got {n}"
@@ -216,39 +179,45 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
     total = n ** (n - 2)
     first: dict[int, int] = {}
     for start in range(0, total, PRUFER_BLOCK):
-        keys = _block_keys(_block_symbols(n, start, min(start + PRUFER_BLOCK, total)), n)
-        uniq, at = np.unique(keys, return_index=True)
+        symbols = _block_symbols(n, start, min(start + PRUFER_BLOCK, total))
+        uniq, at = np.unique(_rooted_keys(_peel(symbols, n)), return_index=True)
         for key, i in zip(uniq.tolist(), at.tolist()):
             first.setdefault(key, start + i)
     reps: dict[str, Tree] = {}
-    for key, i in first.items():
+    for key, i in sorted(first.items(), key=lambda item: item[1]):
         t = prufer_decode(PruferSequence(n, _block_symbols(n, i, i + 1)[0]))
-        code = canonical_code(t)
-        if code != format(key, "b"):
+        rooted = _rooted_code(t.adjacency(), n - 1)
+        if rooted != format(key, "b"):
             raise InvariantViolationError(
                 f"Prufer kernel key {format(key, 'b')} of row {i} at n={n} "
-                f"differs from its canonical code {code}"
+                f"differs from its code rooted at {n - 1}, {rooted}"
             )
-        reps[code] = t
+        reps.setdefault(canonical_code(t), t)
+    if len(reps) != FREE_TREE_COUNTS[n]:
+        raise InvariantViolationError(
+            f"Prufer enumeration for n={n} produced {len(reps)} classes, "
+            f"expected {FREE_TREE_COUNTS[n]}"
+        )
     return reps
 
 
 def _classes_by_generation(n: int) -> dict[str, Tree]:
     if n <= 3:
-        return _first_per_code([build_path(n)])
-    import networkx as nx
+        trees = [build_path(n)]
+    else:
+        import networkx as nx
 
-    trees = []
-    for gnx in nx.nonisomorphic_trees(n):
-        nodes = sorted(gnx.nodes())
-        ix = {v: i for i, v in enumerate(nodes)}
-        trees.append(Tree(n, frozenset((ix[u], ix[v]) for u, v in gnx.edges())))
+        trees = []
+        for gnx in nx.nonisomorphic_trees(n):
+            nodes = sorted(gnx.nodes())
+            ix = {v: i for i, v in enumerate(nodes)}
+            trees.append(Tree(n, frozenset((ix[u], ix[v]) for u, v in gnx.edges())))
     if len(trees) != FREE_TREE_COUNTS[n]:
         raise InvariantViolationError(
             f"free-tree generation for n={n} produced {len(trees)} classes, "
             f"expected {FREE_TREE_COUNTS[n]}"
         )
-    reps = _first_per_code(trees)
+    reps = {canonical_code(t): t for t in trees}
     if len(reps) != len(trees):
         raise InvariantViolationError(
             f"canonical codes collapsed distinct classes at n={n}"

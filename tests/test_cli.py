@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -309,3 +310,17 @@ def test_module_entry_point_runs_main():
 
 def test_csv_rejected_for_spectrum(capsys):
     assert run(["spectrum", "--prufer", "1,2", "--format", "csv"]) == 1
+
+
+def test_repeated_runs_leave_no_cyclic_garbage(capsys):
+    # an argparse parser holds reference cycles, so one built per call
+    # would leave garbage that only the cyclic collector frees
+    argv = ["spectrum", "--prufer", "1,2"]
+    assert run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,6 +5,9 @@ linter ships with the package, so this parses the sources with ast.
 `__init__.py` re-exports names and is exempt, and so is any import
 statement marked `# noqa: F401`.
 
+Dead helpers: every module-level `_`-prefixed function in the package must
+be referenced, as a name or an attribute, somewhere in the package.
+
 Doc drift: every name README's entry-point list gives for a module must
 exist in that module.
 """
@@ -69,6 +72,40 @@ def test_guard_flags_unused_and_honours_noqa():
         "    return numpy.linalg.norm(x) * pi\n"
     )
     assert unused_imports(src) == [("os", 2), ("osp", 2), ("tau", 5)]
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level `_`-prefixed function that no
+    name or attribute anywhere in sources refers to."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
+def test_no_dead_private_functions():
+    sources = {p.name: p.read_text() for p in ROOT.glob("src/signedkn/*.py")}
+    assert dead_private_functions(sources) == []
+
+
+def test_guard_flags_a_dead_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n",
+        "b.py": "from . import a\n\ndef _by_attribute():\n    a._used()\n\nf = _by_attribute\n",
+    }
+    assert dead_private_functions(sources) == [("a.py", "_dead")]
 
 
 def readme_entry_points(text: str) -> dict[str, list[str]]:

@@ -32,6 +32,7 @@ from signedkn import (
     verify_max_index,
 )
 from signedkn import search
+from signedkn.graphs import _rooted_code
 from signedkn.search import CSV_COLUMNS, FREE_TREE_COUNTS
 
 # classes with exactly k leaves, tabulated from the full enumeration once
@@ -82,18 +83,20 @@ def test_prufer_route_matches_generation():
 
 def test_prufer_kernel_agrees_with_scalar_codec():
     # every row at n = 4..7: the block decode gives prufer_decode's edges,
-    # and the integer key spells canonical_code's string
+    # and the integer key spells the scalar code rooted at n-1
     for n in range(4, 8):
         symbols = search._block_symbols(n, 0, n ** (n - 2))
         assert symbols.tolist() == [
             list(s) for s in itertools.product(range(n), repeat=n - 2)
         ]
-        parent, _ = search._peel(symbols, n)
-        keys = search._block_keys(symbols, n)
+        parent = search._peel(symbols, n)
+        keys = search._rooted_keys(parent)
         for row, up, key in zip(symbols.tolist(), parent.tolist(), keys.tolist()):
             t = prufer_decode(PruferSequence(n, row))
             assert {(min(v, p), max(v, p)) for v, p in enumerate(up) if v != p} == t.edges
-            assert format(key, "b") == canonical_code(t)
+            assert format(key, "b") == _rooted_code(t.adjacency(), n - 1)
+        # one key per rooted class: the rooted-tree counts (OEIS A000081)
+        assert len(set(keys.tolist())) == {4: 4, 5: 9, 6: 20, 7: 48}[n]
 
 
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
@@ -121,10 +124,15 @@ def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
         search._peel(np.array([[0, 1]]), 5)
     # vertices 0 and 1 point at each other and never reach the root 3
     with pytest.raises(InvariantViolationError):
-        search._rooted_keys(np.array([[1, 0, 3, 3]]), np.array([3]))
-    # a representative whose scalar code disagrees with its key
+        search._rooted_keys(np.array([[1, 0, 3, 3]]))
+    # a representative whose scalar rooted code disagrees with its key
+    with monkeypatch.context() as m:
+        m.setattr(search, "_rooted_code", lambda adj, root: "10")
+        with pytest.raises(InvariantViolationError, match="differs from its code"):
+            enumerate_tree_classes(5, method="prufer")
+    # canonical codes that merge every rooted class leave too few classes
     monkeypatch.setattr(search, "canonical_code", lambda t: "10")
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="expected 3"):
         enumerate_tree_classes(5, method="prufer")
 
 
