@@ -74,6 +74,7 @@ from .spectra import (
     spectrum_of,
     top_eigenvector,
     tree_index,
+    tree_indices,
 )
 
 __version__ = "0.1.0"

@@ -44,9 +44,10 @@ from .graphs import (
     prufer_decode,
     prufer_encode,
 )
-# Both names stay bound here for callers that reach them through search,
-# perfbench's tracer among them; only tree_index is used in this module.
-from .spectra import eigen_decompose, tree_index  # noqa: F401
+# eigen_decompose stays bound here for callers that reach it through
+# search, perfbench's tracer among them; this module solves only through
+# tree_indices.
+from .spectra import eigen_decompose, tree_indices  # noqa: F401
 
 # Free-tree class counts for n = 2..12, frozen after the dual-method
 # enumeration agreed; also the classical counting sequence for free trees.
@@ -322,7 +323,7 @@ def verify_max_index(n: int, k: int) -> SearchReport:
     double star with one pendant on one side, which the broom realizes).
     """
     classes = enumerate_with_leaves(n, k)
-    lams = [tree_index(t) for t in classes.values()]
+    lams = tree_indices(list(classes.values()))
     mx = max(lams)
     arg_i = lams.index(mx)
     records = tuple(
@@ -356,11 +357,9 @@ def double_star_chain(n: int) -> list[tuple[int, int, float]]:
     floor((n-2)/2) down to 1.  Expected strictly increasing λ1."""
     if n < 6:
         raise DomainError(f"double-star chain needs n >= 6, got {n}")
-    out = []
-    for s in range((n - 2) // 2, 0, -1):
-        t = n - 2 - s
-        out.append((s, t, tree_index(build_double_star(s, t))))
-    return out
+    sides = [(s, n - 2 - s) for s in range((n - 2) // 2, 0, -1)]
+    lams = tree_indices([build_double_star(s, t) for s, t in sides])
+    return [(s, t, lam) for (s, t), lam in zip(sides, lams)]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from signedkn import (
     double_star_chain,
     enumerate_tree_classes,
     enumerate_with_leaves,
+    hill_climb,
     leaf_count,
     prufer_decode,
     prufer_encode,
@@ -31,7 +32,7 @@ from signedkn import (
     tree_index,
     verify_max_index,
 )
-from signedkn import search
+from signedkn import search, spectra
 from signedkn.graphs import _rooted_code
 from signedkn.search import CSV_COLUMNS, FREE_TREE_COUNTS
 
@@ -207,6 +208,47 @@ def test_verify_canonicalises_each_class_once(monkeypatch):
     monkeypatch.setattr(search, "canonical_code", counted)
     verify_max_index(8, 4)
     assert len(calls) == FREE_TREE_COUNTS[8] + 1
+
+
+def test_verify_and_chain_solve_as_one_stack(monkeypatch):
+    # no per-tree Jacobi solve: each call stacks all of its trees at once
+    singles, stacks = [], []
+    solve, stack = spectra._jacobi_sweeps, spectra._stacked_values
+
+    def counted_solve(*args):
+        singles.append(args)
+        return solve(*args)
+
+    def counted_stack(mats):
+        stacks.append(len(mats))
+        return stack(mats)
+
+    monkeypatch.setattr(spectra, "_jacobi_sweeps", counted_solve)
+    monkeypatch.setattr(spectra, "_stacked_values", counted_stack)
+    r = verify_max_index(12, 5)
+    chain = double_star_chain(12)
+    assert singles == []
+    assert stacks == [len(r.classes), len(chain)]
+
+
+def test_hill_climb_solves_one_tree_at_a_time(monkeypatch):
+    # the climb scores candidates lazily, so each λ1 is its own solve
+    sizes = []
+    decompose = spectra.eigen_decompose
+
+    def counted(m):
+        sizes.append(m.n)
+        return decompose(m)
+
+    def no_stack(mats):
+        raise AssertionError(f"hill_climb stacked {len(mats)} matrices")
+
+    monkeypatch.setattr(spectra, "eigen_decompose", counted)
+    monkeypatch.setattr(spectra, "_stacked_values", no_stack)
+    spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
+    _, trace = hill_climb(spider)
+    assert len(trace) >= 1
+    assert len(sizes) > len(trace) and set(sizes) == {6}
 
 
 def test_verify_edge_modes():

@@ -13,6 +13,7 @@ from oracles import (
 )
 from signedkn import (
     ConvergenceError,
+    DomainError,
     InvariantViolationError,
     PruferSequence,
     SignedCompleteGraph,
@@ -24,6 +25,7 @@ from signedkn import (
     build_path,
     build_star,
     eigen_decompose,
+    enumerate_tree_classes,
     index,
     least_eigenvalue,
     prufer_decode,
@@ -33,7 +35,9 @@ from signedkn import (
     spectrum_of,
     top_eigenvector,
     tree_index,
+    tree_indices,
 )
+from signedkn import spectra
 from signedkn.spectra import JACOBI_REL_TOL
 
 
@@ -321,6 +325,13 @@ def test_exact_bits_at_benchmark_sizes():
     assert tree_index(build_broom(12, 5)) == 8.134065793119028
     assert tree_index(build_double_star(5, 5)) == 8.999999999999996
     assert tree_index(build_broom(16, 5)) == 11.624392075884368
+    # the same bits when each tree is solved in a stack with others of its n
+    for t, pin in (
+        (build_broom(12, 5), 8.134065793119028),
+        (build_double_star(5, 5), 8.999999999999996),
+        (build_broom(16, 5), 11.624392075884368),
+    ):
+        assert tree_indices([build_path(t.n), t, build_star(t.n)])[1] == pin
     top = top_eigenvector(signed_complete_from_tree(build_path(6)))
     assert top.vector.tolist() == [
         0.23192061392432975,
@@ -347,3 +358,71 @@ def test_spectrum_reports_sweeps():
     path = spectrum_of(signed_complete_from_tree(build_path(7)))
     assert path.sweeps >= 1
     assert "sweeps" not in path.to_json_dict()
+
+
+# ---------------------------------------------------------------- stacked λ1
+
+
+def test_tree_indices_match_tree_index_bit_for_bit():
+    for n in range(2, 13):
+        trees = list(enumerate_tree_classes(n).values())
+        assert tree_indices(trees) == [tree_index(t) for t in trees], n
+    for n in range(6, 13):
+        trees = [build_double_star(s, n - 2 - s) for s in range(1, n - 2)]
+        assert tree_indices(trees) == [tree_index(t) for t in trees], n
+
+
+def test_tree_indices_need_one_n():
+    assert tree_indices([]) == []
+    with pytest.raises(DomainError):
+        tree_indices([build_path(6), build_path(7)])
+
+
+def planted_zero_stack(seed):
+    """Random symmetric 7 x 7 matrices, some with exact zeros planted off
+    the diagonal, some with a row cut off around a -0.0 diagonal entry, one
+    already diagonal, so the stack's members converge on different sweeps
+    and skip different rotations."""
+    rng = np.random.default_rng(seed)
+    n = 7
+    mats = []
+    for j in range(10):
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        a = a + a.T
+        for _ in range(j):
+            p, q = rng.choice(n, 2, replace=False)
+            a[p, q] = a[q, p] = rng.choice([0.0, -0.0])
+        if j % 3 == 1:
+            r = rng.integers(n)
+            a[r, :] = a[:, r] = 0.0
+            a[r, r] = -0.0
+        mats.append(a)
+    mats.append(np.diag([2.0, -0.0, 0.0, -1.0, -0.0, 3.0, 0.0]))
+    return [SymMatrix(a) for a in mats]
+
+
+def test_stack_bit_identical_on_planted_zeros():
+    for seed in range(4):
+        mats = planted_zero_stack(seed)
+        values, sweeps = spectra._stacked_values(mats)
+        singles = [eigen_decompose(m) for m in mats]
+        assert len(set(sweeps.tolist())) >= 3
+        for got, single, k in zip(values, singles, sweeps):
+            # tobytes tells -0.0 from 0.0
+            assert got.tobytes() == single.values.tobytes()
+            assert k == single.sweeps
+    want = np.concatenate([s.values for s in singles])
+    assert np.any(np.signbit(want) & (want == 0.0))
+
+
+def test_stack_convergence_error_carries_norm(monkeypatch):
+    # the diagonal matrix converges at once; the path's off-norm after its
+    # one allowed sweep is the one the single solve reports
+    path = adjacency_matrix(signed_complete_from_tree(build_path(7)))
+    mats = [SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])), path]
+    monkeypatch.setattr("signedkn.spectra.MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as single:
+        eigen_decompose(path)
+    with pytest.raises(ConvergenceError) as stacked:
+        spectra._stacked_values(mats)
+    assert stacked.value.off_norm == single.value.off_norm > 0.0
