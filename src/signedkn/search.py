@@ -13,8 +13,11 @@ Two independent enumeration routes are kept deliberately:
       first sequence of each rooted class goes through the scalar
       prufer_decode, whose rooted code must agree with the kernel, and
       canonical_code, which merges the rooted classes into free ones;
-  (b) canonical free-tree generation (networkx's implementation of the
-      Wright/Richmond/Odlyzko/McKay algorithm) for all n <= 12.
+  (b) canonical free-tree generation for all n <= 12: an in-house
+      generator of the level sequences of Wright, Richmond, Odlyzko and
+      McKay yields one parent array per free tree, and leaf counts are
+      read from it, so a Tree is built and canonicalised only for the
+      classes a caller keeps.
 
 Their agreement is part of the acceptance suite; class counts are pinned
 against the known free-tree counting sequence.
@@ -37,7 +40,6 @@ from .graphs import (
     _rooted_code,
     build_broom,
     build_double_star,
-    build_path,
     canonical_code,
     format_prufer,
     leaf_count,
@@ -202,20 +204,98 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
     return reps
 
 
-def _classes_by_generation(n: int) -> dict[str, Tree]:
-    if n <= 3:
-        trees = [build_path(n)]
-    else:
-        import networkx as nx
+def _split_tree(layout: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, its levels lowered by one, and the tree
+    left when that subtree is cut off."""
+    try:
+        m = layout.index(1, 2)
+    except ValueError:
+        m = len(layout)
+    return [d - 1 for d in layout[1:m]], [0, *layout[m:]]
 
-        trees = []
-        for gnx in nx.nonisomorphic_trees(n):
-            nodes = sorted(gnx.nodes())
-            ix = {v: i for i, v in enumerate(nodes)}
-            trees.append(Tree(n, frozenset((ix[u], ix[v]) for u, v in gnx.edges())))
-    if len(trees) != FREE_TREE_COUNTS[n]:
+
+def _next_rooted_tree(layout: list[int], p: int | None = None) -> list[int] | None:
+    """The rooted level sequence after layout (Beyer-Hedetniemi), or None
+    after the star.  p is the last vertex above level 1 unless given, q its
+    parent, and from p on the new sequence repeats the block layout[q:p]."""
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _next_tree(layout: list[int]) -> list[int]:
+    """layout if it is the canonical rooting of its free tree, else the
+    next sequence that is.  Canonical: the root's first subtree is lower
+    than the rest, or as high and smaller, or as high, as large and not
+    lexicographically later."""
+    left, rest = _split_tree(layout)
+    lh, rh = max(left), max(rest)
+    if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+        return layout
+    p = len(left)
+    out = _next_rooted_tree(layout, p)
+    if layout[p] > 2:
+        h = max(_split_tree(out)[0])
+        out[-(h + 1):] = range(1, h + 2)
+    return out
+
+
+def _free_trees(n: int):
+    """Each free tree on n >= 2 vertices once, as its parent array, in the
+    level-sequence order of Wright, Richmond, Odlyzko and McKay, "Constant
+    time generation of free trees" (SIAM J. Comput. 15, 1986).
+
+    Vertex i is position i of the level sequence, and its parent is the
+    nearest earlier vertex one level up; the root 0 has parent -1."""
+    # the path, rooted at its centre
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = _next_tree(layout)
+        parent, last = [-1] * n, [0] * n
+        for i in range(1, n):
+            parent[i] = last[layout[i] - 1]
+            last[layout[i]] = i
+        yield parent
+        layout = _next_rooted_tree(layout)
+
+
+def _check_class_n(n: int) -> None:
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"class enumeration supports 2 <= n <= {MAX_N}, got {n}")
+
+
+def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
+    """The generated classes on n vertices, or only those with k leaves.
+    Leaves are counted on the parent array, so a Tree is built and
+    canonicalised only for the classes kept; the class count is checked
+    over every generated sequence all the same."""
+    # the generator roots the 3-vertex path at its centre; that class has
+    # always been represented by the path 0-1-2
+    parents = _free_trees(n) if n != 3 else [[-1, 0, 1]]
+    trees, count = [], 0
+    for parent in parents:
+        count += 1
+        if k is not None:
+            deg = [1] * n
+            deg[0] = 0
+            for p in parent[1:]:
+                deg[p] += 1
+            if deg.count(1) != k:
+                continue
+        trees.append(Tree(n, frozenset(zip(range(1, n), parent[1:]))))
+    if count != FREE_TREE_COUNTS[n]:
         raise InvariantViolationError(
-            f"free-tree generation for n={n} produced {len(trees)} classes, "
+            f"free-tree generation for n={n} produced {count} classes, "
             f"expected {FREE_TREE_COUNTS[n]}"
         )
     reps = {canonical_code(t): t for t in trees}
@@ -233,15 +313,14 @@ def enumerate_tree_classes(n: int, method: str = "generate") -> dict[str, Tree]:
     method "generate" (default) uses canonical generation; "prufer" decodes
     all n**(n-2) sequences and deduplicates by canonical code (n <= 9).
     """
-    if not 2 <= n <= MAX_N:
-        raise DomainError(f"class enumeration supports 2 <= n <= {MAX_N}, got {n}")
+    _check_class_n(n)
     if method == "generate":
         reps = _classes_by_generation(n)
     elif method == "prufer":
         reps = _classes_by_prufer(n)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
-    return {code: reps[code] for code in sorted(reps)}
+    return dict(sorted(reps.items()))
 
 
 @dataclass(frozen=True)
@@ -268,9 +347,8 @@ def enumerate_with_leaves(n: int, k: int) -> dict[str, Tree]:
     """The classes on n vertices with exactly k leaves, keyed by canonical
     code in ascending order."""
     _check_leaf_count(n, k)
-    return {
-        code: t for code, t in enumerate_tree_classes(n).items() if leaf_count(t) == k
-    }
+    _check_class_n(n)
+    return dict(sorted(_classes_by_generation(n, k).items()))
 
 
 @dataclass(frozen=True)

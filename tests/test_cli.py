@@ -308,6 +308,22 @@ def test_module_entry_point_runs_main():
     assert json.loads(proc.stdout)["lambda1"] == 2.2360679774997902
 
 
+def test_verify_and_enumerate_never_import_networkx():
+    env = dict(os.environ, PYTHONPATH=str(Path(signedkn.__file__).parent.parent))
+    code = (
+        "import sys\n"
+        "from signedkn.cli import run\n"
+        "assert run(['verify', '--n', '8', '--k', '3']) == 0\n"
+        "assert run(['enumerate', '--n', '8']) == 0\n"
+        "print('networkx' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
+
+
 def test_csv_rejected_for_spectrum(capsys):
     assert run(["spectrum", "--prufer", "1,2", "--format", "csv"]) == 1
 

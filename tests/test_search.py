@@ -4,6 +4,7 @@ import itertools
 import json
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -137,6 +138,22 @@ def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
         enumerate_tree_classes(5, method="prufer")
 
 
+def test_generator_matches_networkx():
+    # networkx implements the same algorithm and labels vertex i as position
+    # i of the level sequence, so the trees must agree edge for edge and in
+    # order; networkx is a test dependency only
+    counts = {}
+    for n in range(2, 15):
+        parents = list(search._free_trees(n))
+        for parent in parents:
+            assert parent[0] == -1 and all(0 <= parent[v] < v for v in range(1, n))
+        ours = [{(v, parent[v]) for v in range(1, n)} for parent in parents]
+        theirs = [{(max(e), min(e)) for e in g.edges()} for g in nx.nonisomorphic_trees(n)]
+        assert ours == theirs
+        counts[n] = len(ours)
+    assert counts == {**FREE_TREE_COUNTS, 13: 1301, 14: 3159}
+
+
 def test_enumeration_validation():
     with pytest.raises(DomainError):
         enumerate_tree_classes(1)
@@ -207,7 +224,35 @@ def test_verify_canonicalises_each_class_once(monkeypatch):
 
     monkeypatch.setattr(search, "canonical_code", counted)
     verify_max_index(8, 4)
-    assert len(calls) == FREE_TREE_COUNTS[8] + 1
+    assert len(calls) == LEAF_TABLE[8][4] + 1
+
+
+def test_verify_builds_only_its_leaf_classes(monkeypatch):
+    # leaves are counted on the generated parent arrays, so a Tree is built
+    # only for the classes kept; the broom is built outside search
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Tree(*args)
+
+    monkeypatch.setattr(search, "Tree", counted)
+    r = verify_max_index(12, 5)
+    assert len(built) <= len(r.classes) + 1 < FREE_TREE_COUNTS[12]
+
+
+def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
+    with pytest.raises(DomainError):
+        enumerate_with_leaves(13, 4)
+    with monkeypatch.context() as m:
+        m.setattr(search, "canonical_code", lambda t: "10")
+        with pytest.raises(InvariantViolationError, match="collapsed"):
+            enumerate_with_leaves(8, 4)
+    # the class count runs over every generated sequence, kept or not
+    generate = search._free_trees
+    monkeypatch.setattr(search, "_free_trees", lambda n: list(generate(n))[1:])
+    with pytest.raises(InvariantViolationError, match="expected 23"):
+        enumerate_with_leaves(8, 4)
 
 
 def test_verify_and_chain_solve_as_one_stack(monkeypatch):
