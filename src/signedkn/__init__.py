@@ -73,6 +73,7 @@ from .spectra import (
     spectral_radius,
     spectrum_of,
     top_eigenvector,
+    tree_eigs_above,
     tree_index,
     tree_indices,
 )

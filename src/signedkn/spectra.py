@@ -7,6 +7,11 @@ sign convention.
 together, one numpy operation per rotation across the stack, each matrix
 with the rotations a single solve would give it, so its eigenvalues come
 out bit-identical.
+
+tree_eigs_above counts the eigenvalues of (K_n, T-) above a rational x
+exactly, in O(n) Fraction steps, by eliminating the tree leaves first
+(Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
+Appl. 434, 2011) with one bordering vertex for the all-ones part.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .graphs import SignedCompleteGraph, Tree, signed_complete_from_tree
+from .graphs import SignedCompleteGraph, Tree, _bfs_order, signed_complete_from_tree
 
 # Relative off-diagonal tolerance and sweep cap of the solver.
 JACOBI_REL_TOL = 1e-12
@@ -319,6 +325,40 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
 def tree_index(t: Tree) -> float:
     """λ1 of (K_n, T-) for the given tree of negative edges."""
     return tree_indices([t])[0]
+
+
+def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
+    """Number of eigenvalues of (K_n, T-) strictly above x, counted exactly,
+    or None when an elimination pivot is exactly zero.
+
+    A - xI = D + 11ᵀ with D = -(1+x)I - 2B, B the tree's adjacency matrix,
+    is the Schur complement of the corner of M = [[D, 1], [1ᵀ, -1]], so A
+    has as many eigenvalues above x as M has positive pivots.  M is
+    eliminated leaves first, in reversed breadth-first order from vertex 0,
+    and the border last: no step fills in, so each pivot costs O(1).
+    """
+    try:
+        x = Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"x must be finite, got {x!r}") from exc
+    order, parent = _bfs_order(t.adjacency(), 0)
+    d = [-1 - x] * t.n
+    b = [Fraction(1)] * t.n
+    corner = Fraction(-1)
+    above = 0
+    for v in reversed(order):
+        dv, bv = d[v], b[v]
+        if dv == 0:
+            return None
+        above += dv > 0
+        p = parent[v]
+        if p >= 0:
+            d[p] -= 4 / dv
+            b[p] += 2 * bv / dv
+        corner -= bv * bv / dv
+    if corner == 0:
+        return None
+    return above + (corner > 0)
 
 
 def least_eigenvalue(g: SignedCompleteGraph) -> float:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import signedkn
+from signedkn import spectra
 from signedkn.cli import run
 
 
@@ -218,6 +220,57 @@ def test_climb_bad_k(capsys):
     rc = run(["climb", "--n", "6", "--k", "6", "--seed", "0"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# sha256 of `climb --n n --k k --seed seed --format fmt` stdout on the
+# benchmark's climb panel, recorded when every candidate was solved by
+# Jacobi: deciding candidates by eigenvalue counts must not move a digit.
+CLIMB_PANEL_STDOUT_SHA256 = {
+    ((12, 4, 15), "json"): "01f3e3f326b311816551110322ce3dd9d53696c835b252666e3ae349f0c153e7",
+    ((12, 4, 15), "csv"): "139d324af7a5ff510827337af4663dd29ebeff27bef035e3e749d7249a5dd6b8",
+    ((12, 4, 15), "text"): "5ff67c2293e605e6d8f16933ef432c7e7d909c0bf295fb6b27b4750eb84ca3ee",
+    ((12, 4, 44), "json"): "d17ce56d7bffeb848d9d6cbda2ad84e5d2e1b67dbcbd8f0f2ffd960055bc02cf",
+    ((12, 4, 44), "csv"): "ebe4716fc821c92aca8c4e11371988d533a94ba22c912ee2f02bef58ec61a522",
+    ((12, 4, 44), "text"): "fa8a4c7147182bf5eb6c231502a122af3f6e3be5ebc3b31b97367d90f58c151c",
+    ((12, 4, 13), "json"): "0177daa05ffca0a58c5b628ad5125b524a777cfecb3297315dd07d9755d81a2a",
+    ((12, 4, 13), "csv"): "f4d279a49d048751c5548d1b12f4eda239b05ca03653bb7472b12d6b773df6fd",
+    ((12, 4, 13), "text"): "f7bdd0776c91dfaae30921ed3d96f30adbeb181131645bd91a7bf18b572d5f79",
+    ((12, 6, 5), "json"): "37764b1b64c8a2144f4ac234477851de52d5d4f8cbc7da1daebab6fb08caac84",
+    ((12, 6, 5), "csv"): "4c164aa2344d295c8de49112c32461aa797ee8f78a0be8e4704a85c73563bcbc",
+    ((12, 6, 5), "text"): "203169c6244a24f10e656ea7bcf441cc9a2bdc02482fef78e63452e79118bb93",
+    ((12, 6, 22), "json"): "9497f3cf2b3ad22672fabb6ac08e9d91c5915f02848b0129cde715ca1dad25ff",
+    ((12, 6, 22), "csv"): "b6bfb13f711c53805781949c1d36fc127cb48e7ea7fad42034325c54403ec35b",
+    ((12, 6, 22), "text"): "cb03e46242da219a59fec79556a0f5261bb22016bdf7e76ca30f16fa0775e241",
+    ((12, 6, 34), "json"): "a42e67851dcc7d56896e140d62dfd04dd45bdfee743136eb3ea62628b7d5a5a9",
+    ((12, 6, 34), "csv"): "e006c9ea619f0624e0461ad68494791af99ecaf6218ac83c1c6a0ca716aed471",
+    ((12, 6, 34), "text"): "3e79abc7353a553c58942dcef18de5b54446876690287f218e169ac2bdb2258c",
+    ((16, 5, 6), "json"): "463d88a32f2aaa4fa9fac393c0dcb5aef5d558fc85e154bda5d5448dfccd3d3d",
+    ((16, 5, 6), "csv"): "57d278433e9d810d9574158f2f2ed43b591cb8e81ecec54a6fa3aa503abc4a18",
+    ((16, 5, 6), "text"): "58dc5e402abff8722ba2d952b757e4bc36258ccba5d88a0eaadeed2e87d9d421",
+}
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, fmt", [(*start, fmt) for start, fmt in sorted(CLIMB_PANEL_STDOUT_SHA256)]
+)
+def test_climb_panel_stdout_golden(capsys, n, k, seed, fmt):
+    argv = ["climb", "--n", str(n), "--k", str(k), "--seed", str(seed), "--format", fmt]
+    assert run(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLIMB_PANEL_STDOUT_SHA256[(n, k, seed), fmt]
+
+
+def test_climb_panel_solves_start_accepted_and_final(capsys, monkeypatch):
+    calls = []
+    solve = spectra.eigen_decompose
+    monkeypatch.setattr(spectra, "eigen_decompose", lambda m: calls.append(m.n) or solve(m))
+    steps = 0
+    for n, k, seed in sorted({start for start, _ in CLIMB_PANEL_STDOUT_SHA256}):
+        assert run(["climb", "--n", str(n), "--k", str(k), "--seed", str(seed)]) == 0
+        steps += json.loads(lines_of(capsys)[-1])["final"]["steps"]
+    # 7 starts, 42 accepted moves, 7 final λ1: no candidate falls back to a solve
+    assert steps == 42
+    assert len(calls) == 7 + steps + 7
 
 
 # ------------------------------------------------------------- enumerate

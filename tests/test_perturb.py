@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import networkx as nx
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from signedkn import (
     ClimbStep,
     DomainError,
+    InvariantViolationError,
     PreconditionError,
     PruferSequence,
     RotationMove,
@@ -37,6 +39,7 @@ from signedkn import (
 )
 from signedkn import perturb, spectra
 from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
+from signedkn.spectra import JACOBI_REL_TOL
 
 
 def random_tree(n, rnd):
@@ -414,12 +417,32 @@ def _cli_start(n, k, seed):
     return random_tree_with_leaf_count(n, k, random.Random(seed))
 
 
-def test_climb_matches_full_scan_reference():
+# The benchmark's climb panel, as (n, k, CLI seed).
+CLIMB_PANEL = (
+    (12, 4, 15), (12, 4, 44), (12, 4, 13),
+    (12, 6, 5), (12, 6, 22), (12, 6, 34),
+    (16, 5, 6),
+)
+
+
+@pytest.fixture(scope="module")
+def full_scan_references():
     starts = [_cli_start(n, k, seed) for n in (8, 10) for k in range(2, n) for seed in (0, 1)]
-    starts.append(_cli_start(12, 4, 15))
-    for start in starts:
+    starts += [_cli_start(*args) for args in CLIMB_PANEL]
+    return [(start, _full_scan_climb(start)) for start in starts]
+
+
+def test_climb_matches_full_scan_reference(full_scan_references):
+    for start, reference in full_scan_references:
         # == on ClimbStep compares every λ1 bit for bit
-        assert hill_climb(start) == _full_scan_climb(start)
+        assert hill_climb(start) == reference
+
+
+def test_climb_without_counts_matches_full_scan_reference(monkeypatch, full_scan_references):
+    # every count meets a zero pivot, so every candidate is solved
+    monkeypatch.setattr(perturb, "tree_eigs_above", lambda t, x: None)
+    for start, reference in full_scan_references:
+        assert hill_climb(start) == reference
 
 
 def test_climb_solves_each_class_once(monkeypatch):
@@ -433,8 +456,26 @@ def test_climb_solves_each_class_once(monkeypatch):
     for start in [_cli_start(12, 4, 15), *(_cli_start(8, k, 0) for k in range(2, 8))]:
         solved.clear()
         _, trace = hill_climb(start)
-        assert len(solved) > len(trace)
+        assert len(solved) == len(trace) + 1
         assert len(set(solved)) == len(solved)
+
+
+def test_count_verdict_leaves_the_band_to_the_solve():
+    t = build_double_star(5, 5)  # λ1 is exactly 9
+    band = 2 * JACOBI_REL_TOL * math.sqrt(t.n * (t.n - 1))
+    assert perturb._count_verdict(t, 9.0, band) is None
+    assert perturb._count_verdict(t, 9.0 - 0.5 * band, band) is None
+    assert perturb._count_verdict(t, 9.0 + 0.5 * band, band) is None
+    assert perturb._count_verdict(t, 9.0 - 3 * band, band) is True
+    assert perturb._count_verdict(t, 9.0 + 3 * band, band) is False
+
+
+def test_climb_rejects_a_count_the_solve_contradicts(monkeypatch):
+    # counts that put every candidate above the threshold make the climb
+    # accept a move whose solved λ1 does not rise
+    monkeypatch.setattr(perturb, "tree_eigs_above", lambda t, x: 1)
+    with pytest.raises(InvariantViolationError):
+        hill_climb(build_broom(8, 4))
 
 
 def test_climb_deterministic():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from signedkn import (
     spectral_radius,
     spectrum_of,
     top_eigenvector,
+    tree_eigs_above,
     tree_index,
     tree_indices,
 )
@@ -358,6 +360,38 @@ def test_spectrum_reports_sweeps():
     path = spectrum_of(signed_complete_from_tree(build_path(7)))
     assert path.sweeps >= 1
     assert "sweeps" not in path.to_json_dict()
+
+
+# ---------------------------------------------------------------- exact counts
+
+
+def test_tree_eigs_above_matches_lapack_on_every_class():
+    fixed = [Fraction(-5, 2), Fraction(0), Fraction(1, 3), Fraction(7, 2)]
+    checked = 0
+    for n in range(2, 11):
+        for t in enumerate_tree_classes(n).values():
+            ev = numpy_eigenvalues(adjacency_matrix(signed_complete_from_tree(t)).entries)
+            xs = [float(e) + s for e in ev for s in (-1e-7, 1e-7)]
+            for x in [*xs, *fixed]:
+                assert tree_eigs_above(t, x) == int(np.sum(ev > float(x))), (n, x)
+                checked += 1
+    assert checked > 4000
+
+
+def test_tree_eigs_above_exact_at_an_integer_index():
+    # λ1 of S(5, 5) is exactly 9: the pivot at x = 9 is exactly zero, and
+    # the count tells 9 from its neighbours 2**-40 away
+    t = build_double_star(5, 5)
+    assert tree_eigs_above(t, 9) is None
+    assert tree_eigs_above(t, Fraction(9) - Fraction(1, 2**40)) == 1
+    assert tree_eigs_above(t, 9 + 2.0**-40) == 0
+
+
+def test_tree_eigs_above_needs_finite_x():
+    with pytest.raises(DomainError):
+        tree_eigs_above(build_path(4), math.inf)
+    with pytest.raises(DomainError):
+        tree_eigs_above(build_path(4), math.nan)
 
 
 # ---------------------------------------------------------------- stacked λ1
