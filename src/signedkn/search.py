@@ -46,9 +46,8 @@ from .graphs import (
     prufer_decode,
     prufer_encode,
 )
-# eigen_decompose stays bound here for callers that reach it through
-# search, perfbench's tracer among them; this module solves only through
-# tree_indices.
+# Nothing here calls eigen_decompose; perfbench's restore test checks this binding
+# (test_traced_run_reports_every_layer_metric_and_restores_the_package).
 from .spectra import eigen_decompose, tree_indices  # noqa: F401
 
 # Free-tree class counts for n = 2..12, frozen after the dual-method

@@ -3,15 +3,14 @@ spectral quantities of signed complete graphs: index (largest eigenvalue),
 least eigenvalue, spectral radius, and the top eigenvector with a fixed
 sign convention.
 
-λ1 of several trees of one size is solved as a stack: the matrices rotate
-together, one numpy operation per rotation across the stack, each matrix
-with the rotations a single solve would give it, so its eigenvalues come
-out bit-identical.
-
-tree_eigs_above counts the eigenvalues of (K_n, T-) above a rational x
-exactly, in O(n) Fraction steps, by eliminating the tree leaves first
-(Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
-Appl. 434, 2011) with one bordering vertex for the all-ones part.
+λ1 of (K_n, T-) comes from tree elimination (Jacobs & Trevisan, "Locating
+the eigenvalues of trees", Linear Algebra Appl. 434, 2011) with one
+bordering vertex for the all-ones part: the tree's leaves are eliminated
+first, so each pivot costs O(1).  tree_eigs_above counts the eigenvalues
+above a rational x exactly, in Fraction arithmetic; tree_indices finds λ1
+of a stack of same-size trees by multisection on the float counts, all
+trees and points at once.  tree_index, spectrum_of and top_eigenvector
+solve one matrix by Jacobi.
 """
 
 from __future__ import annotations
@@ -30,6 +29,15 @@ from .graphs import SignedCompleteGraph, Tree, _bfs_order, signed_complete_from_
 # Relative off-diagonal tolerance and sweep cap of the solver.
 JACOBI_REL_TOL = 1e-12
 MAX_SWEEPS = 100
+
+# Interior points of each bracket per multisection pass of tree_indices:
+# a pass narrows every bracket by a factor of _SECTIONS + 1.
+_SECTIONS = 16
+
+# Stands in for a float pivot that is exactly 0.0, so that it counts as
+# negative and turns its parent's pivot hugely positive; 1/_ZERO_PIVOT
+# squared still stays finite.
+_ZERO_PIVOT = -(2.0**-200)
 
 # λ1 - λ2 at or below this flags a numerically multiple top eigenvalue.
 DEGENERATE_TOL = 1e-9
@@ -168,101 +176,6 @@ def _jacobi_sweeps(w, tol):
     return off, sweeps
 
 
-def _rotate_stack(a):
-    """One cyclic Jacobi sweep in place on a (b, n, n) stack of symmetric
-    matrices, rotating A alone: the eigenvalues do not need the [A | I]
-    vector block, and A evolves independently of it.
-
-    Each matrix gets the rotations _jacobi_sweeps would give it, in the
-    same (p, q) order and with the same arithmetic.  A matrix whose apq is
-    0.0 skips that rotation as it does there: the rotation runs on the
-    sub-stack of the others, since a c = 1, s = 0 rotation could still
-    flip the sign of a zero.
-    """
-    n = a.shape[1]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            nz = a[:, p, q] != 0.0
-            if nz.all():
-                i = slice(None)
-            elif nz.any():
-                i = np.flatnonzero(nz)
-            else:
-                continue
-            # every read is taken before the first write: with i a slice,
-            # these are views
-            apq = a[i, p, q]
-            app = a[i, p, p]
-            aqq = a[i, q, q]
-            theta = (aqq - app) / (2.0 * apq)
-            # theta * theta overflows only where the asymptotic branch
-            # replaces the result
-            with np.errstate(over="ignore"):
-                t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            # not copysign: theta = -0.0 takes the positive branch there
-            t[theta < 0.0] *= -1.0
-            big = np.abs(theta) > 1e154
-            if big.any():
-                t[big] = 1.0 / (2.0 * theta[big])
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            new_pp = app - t * apq
-            new_qq = aqq + t * apq
-            rp = a[i, p]
-            rq = a[i, q]
-            c = c[:, None]
-            s = s[:, None]
-            wp = c * rp - s * rq
-            wq = s * rp + c * rq
-            a[i, p] = wp
-            a[i, q] = wq
-            a[i, :, p] = wp
-            a[i, :, q] = wq
-            a[i, p, p] = new_pp
-            a[i, q, q] = new_qq
-            a[i, p, q] = 0.0
-            a[i, q, p] = 0.0
-
-
-def _stacked_values(mats: list[SymMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of same-size symmetric matrices, as eigen_decompose gives
-    them bit for bit, with the sweeps each took: a (b, n) array whose rows
-    are sorted descending, and a (b,) array.
-
-    Each matrix keeps its own tolerance, JACOBI_REL_TOL times its Frobenius
-    norm, its own _off_norm stopping test and its own sweep count up to
-    MAX_SWEEPS.  A sweep runs on the matrices not yet converged, which are
-    all on the same sweep.
-    """
-    work = np.stack([m.entries for m in mats])
-    tol = np.array([JACOBI_REL_TOL * m.frobenius() for m in mats])
-    b, n, _ = work.shape
-    vals = np.empty((b, n))
-    sweeps = np.zeros(b, np.int64)
-    ids = np.arange(b)
-    swept = 0
-    while True:
-        off = np.array([_off_norm(x) for x in work])
-        done = off <= tol[ids]
-        vals[ids[done]] = np.diagonal(work[done], axis1=1, axis2=2)
-        sweeps[ids[done]] = swept
-        if done.all():
-            break
-        if swept >= MAX_SWEEPS:
-            j = int(np.argmin(done))
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge on matrix {ids[j]} of {b}: "
-                f"off-norm {off[j]:.3e} > tol {tol[ids[j]]:.3e}",
-                off_norm=float(off[j]),
-            )
-        if done.any():
-            work, ids = work[~done], ids[~done]
-        _rotate_stack(work)
-        swept += 1
-    order = np.argsort(-vals, axis=1, kind="stable")
-    return np.take_along_axis(vals, order, axis=1), sweeps
-
-
 def eigen_decompose(m: SymMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, sorted descending, with its
     unit eigenvectors as aligned columns.
@@ -307,24 +220,93 @@ def index(g: SignedCompleteGraph) -> float:
     return spectrum_of(g).lambda1
 
 
-def tree_indices(trees: Sequence[Tree]) -> list[float]:
-    """λ1 of (K_n, T-) for each tree of negative edges, all on the same n.
+def _leaves_first(t: Tree) -> list[int]:
+    """Parent position of each vertex of t, the vertices numbered by their
+    position in the breadth-first order from vertex 0 (-1 for the root).
+    Every parent comes before its children, so eliminating positions n-1
+    down to 0 takes each vertex after all of its children: leaves first."""
+    order, parent = _bfs_order(t.adjacency(), 0)
+    pos = [0] * t.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return [-1] + [pos[parent[v]] for v in order[1:]]
 
-    One tree is solved by eigen_decompose; two or more as one stack by
-    _stacked_values, which is faster for them and gives the same bits."""
+
+def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Whether λ1 > x for each tree and each x of xs, a (b, m) array, from
+    the float pivots of tree_eigs_above's bordered matrix.  parents is the
+    (b, n) stack of the trees' _leaves_first arrays; each elimination step
+    runs on one position of every tree at every point at once.
+
+    A pivot that is exactly 0.0 becomes _ZERO_PIVOT, so it counts as
+    negative and leaves its parent a huge positive pivot: the inertia of
+    the 2 x 2 block the pair forms, whose determinant is -4.  A zero pivot
+    at the root pairs with the border the same way, unless its border
+    entry is 0 too, when x is an eigenvalue and not above it.  The corner
+    loses all precision after such a pair, but the pair's positive pivot
+    has already shown, exactly, that λ1 > x.
+    """
+    n = parents.shape[1]
+    rows = np.arange(len(parents))
+    d = np.empty((n, *xs.shape))
+    d[:] = -1.0 - xs
+    b = np.ones_like(d)
+    corner = np.full(xs.shape, -1.0)
+    above = np.zeros(xs.shape, bool)
+    for v in range(n - 1, -1, -1):
+        dv, bv = d[v], b[v]
+        dv[dv == 0.0] = _ZERO_PIVOT
+        above |= dv > 0.0
+        r = bv / dv
+        corner -= bv * r
+        if v:
+            p = parents[:, v]
+            d[p, rows] -= 4.0 / dv
+            b[p, rows] += 2.0 * r
+    return above | (corner > 0.0)
+
+
+def tree_indices(trees: Sequence[Tree]) -> list[float]:
+    """λ1 of (K_n, T-) for each tree of negative edges, all on the same n,
+    by multisection on the float counts of _above: no eigensolve.
+
+    Each bracket starts at [(n-1)(n-4)/n - 1, n]: the all-ones Rayleigh
+    quotient (n-1)(n-4)/n is at most λ1, and λ1 is at most n - 1, which
+    the star attains.  Each pass counts at _SECTIONS evenly spaced points
+    inside every bracket; the first point with no eigenvalue above it and
+    the point before it are the new ends, until the ends are adjacent
+    floats.  The value returned is the upper end: the least float found
+    with no eigenvalue above it, λ1 rounded up when the counts are exact.
+    Every value is within 4 ulp of that float on all classes with n <= 12.
+
+    A tree's value does not depend on the others in the stack: every step
+    is elementwise, and once its ends are adjacent floats, its points
+    round to those ends and count as they did before.
+    """
     if len({t.n for t in trees}) > 1:
         raise DomainError(
             f"stacked trees must share n, got n in {sorted({t.n for t in trees})}"
         )
-    mats = [adjacency_matrix(signed_complete_from_tree(t)) for t in trees]
-    if len(mats) < 2:
-        return [eigen_decompose(m).lambda1 for m in mats]
-    return _stacked_values(mats)[0][:, 0].tolist()
+    if not trees:
+        return []
+    n = trees[0].n
+    parents = np.array([_leaves_first(t) for t in trees])
+    rows = np.arange(len(trees))
+    lo = np.full(len(trees), (n - 1) * (n - 4) / n - 1.0)
+    hi = np.full(len(trees), float(n))
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    while np.any(np.nextafter(lo, hi) < hi):
+        xs = lo[:, None] + (hi - lo)[:, None] * frac
+        # first point with no eigenvalue above it; _SECTIONS if none
+        j = np.argmin(np.c_[_above(parents, xs), np.zeros(len(trees), bool)], axis=1)
+        ends = np.c_[lo, xs, hi]
+        lo, hi = ends[rows, j], ends[rows, j + 1]
+    return hi.tolist()
 
 
 def tree_index(t: Tree) -> float:
     """λ1 of (K_n, T-) for the given tree of negative edges."""
-    return tree_indices([t])[0]
+    return eigen_decompose(adjacency_matrix(signed_complete_from_tree(t))).lambda1
 
 
 def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
@@ -334,19 +316,19 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     A - xI = D + 11ᵀ with D = -(1+x)I - 2B, B the tree's adjacency matrix,
     is the Schur complement of the corner of M = [[D, 1], [1ᵀ, -1]], so A
     has as many eigenvalues above x as M has positive pivots.  M is
-    eliminated leaves first, in reversed breadth-first order from vertex 0,
-    and the border last: no step fills in, so each pivot costs O(1).
+    eliminated leaves first, in the order of _leaves_first, and the border
+    last: no step fills in, so each pivot costs O(1).
     """
     try:
         x = Fraction(x)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"x must be finite, got {x!r}") from exc
-    order, parent = _bfs_order(t.adjacency(), 0)
+    parent = _leaves_first(t)
     d = [-1 - x] * t.n
     b = [Fraction(1)] * t.n
     corner = Fraction(-1)
     above = 0
-    for v in reversed(order):
+    for v in range(t.n - 1, -1, -1):
         dv, bv = d[v], b[v]
         if dv == 0:
             return None

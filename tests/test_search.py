@@ -256,24 +256,28 @@ def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
 
 
 def test_verify_and_chain_solve_as_one_stack(monkeypatch):
-    # no per-tree Jacobi solve: each call stacks all of its trees at once
+    # no Jacobi solve: each call counts all of its trees at once, in every
+    # multisection pass
     singles, stacks = [], []
-    solve, stack = spectra._jacobi_sweeps, spectra._stacked_values
+    solve, above = spectra._jacobi_sweeps, spectra._above
 
     def counted_solve(*args):
         singles.append(args)
         return solve(*args)
 
-    def counted_stack(mats):
-        stacks.append(len(mats))
-        return stack(mats)
+    def counted_above(parents, xs):
+        stacks.append(len(parents))
+        return above(parents, xs)
 
     monkeypatch.setattr(spectra, "_jacobi_sweeps", counted_solve)
-    monkeypatch.setattr(spectra, "_stacked_values", counted_stack)
+    monkeypatch.setattr(spectra, "_above", counted_above)
     r = verify_max_index(12, 5)
+    passes = len(stacks)
     chain = double_star_chain(12)
     assert singles == []
-    assert stacks == [len(r.classes), len(chain)]
+    assert passes > 0 and len(stacks) > passes
+    assert set(stacks[:passes]) == {len(r.classes)}
+    assert set(stacks[passes:]) == {len(chain)}
 
 
 def test_hill_climb_solves_one_tree_at_a_time(monkeypatch):
@@ -285,11 +289,11 @@ def test_hill_climb_solves_one_tree_at_a_time(monkeypatch):
         sizes.append(m.n)
         return decompose(m)
 
-    def no_stack(mats):
-        raise AssertionError(f"hill_climb stacked {len(mats)} matrices")
+    def no_stack(parents, xs):
+        raise AssertionError(f"hill_climb stacked {len(parents)} trees")
 
     monkeypatch.setattr(spectra, "eigen_decompose", counted)
-    monkeypatch.setattr(spectra, "_stacked_values", no_stack)
+    monkeypatch.setattr(spectra, "_above", no_stack)
     spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
     _, trace = hill_climb(spider)
     assert len(trace) >= 1

@@ -327,13 +327,16 @@ def test_exact_bits_at_benchmark_sizes():
     assert tree_index(build_broom(12, 5)) == 8.134065793119028
     assert tree_index(build_double_star(5, 5)) == 8.999999999999996
     assert tree_index(build_broom(16, 5)) == 11.624392075884368
-    # the same bits when each tree is solved in a stack with others of its n
-    for t, pin in (
-        (build_broom(12, 5), 8.134065793119028),
-        (build_double_star(5, 5), 8.999999999999996),
-        (build_broom(16, 5), 11.624392075884368),
+    # the elimination's bits, each tree inside a stack with others of its
+    # n, within 8 ulp of the float nearest λ1 that exact counts prove
+    for t, pin, proved in (
+        (build_broom(12, 5), 8.134065793119026, 8.134065793119026),
+        (build_double_star(5, 5), 9.0, 9.0),
+        (build_broom(16, 5), 11.624392075884375, 11.624392075884373),
     ):
-        assert tree_indices([build_path(t.n), t, build_star(t.n)])[1] == pin
+        got = tree_indices([build_path(t.n), t, build_star(t.n)])[1]
+        assert got == pin
+        assert abs(got - proved) <= 8 * math.ulp(proved)
     top = top_eigenvector(signed_complete_from_tree(build_path(6)))
     assert top.vector.tolist() == [
         0.23192061392432975,
@@ -394,69 +397,60 @@ def test_tree_eigs_above_needs_finite_x():
         tree_eigs_above(build_path(4), math.nan)
 
 
-# ---------------------------------------------------------------- stacked λ1
+# ---------------------------------------------------------------- λ1 by elimination
 
 
-def test_tree_indices_match_tree_index_bit_for_bit():
+def test_tree_indices_match_lapack_on_every_class():
+    stacks = [list(enumerate_tree_classes(n).values()) for n in range(2, 13)]
+    stacks += [[build_double_star(s, n - 2 - s) for s in range(1, n - 2)] for n in range(6, 13)]
+    for trees in stacks:
+        for t, lam in zip(trees, tree_indices(trees)):
+            want = numpy_eigenvalues(adjacency_matrix(signed_complete_from_tree(t)).entries)[0]
+            assert abs(lam - want) <= 1e-12, (t.n, sorted(t.edges))
+
+
+def test_tree_index_alone_is_its_index_in_any_stack():
     for n in range(2, 13):
         trees = list(enumerate_tree_classes(n).values())
-        assert tree_indices(trees) == [tree_index(t) for t in trees], n
-    for n in range(6, 13):
-        trees = [build_double_star(s, n - 2 - s) for s in range(1, n - 2)]
-        assert tree_indices(trees) == [tree_index(t) for t in trees], n
+        stacked = tree_indices(trees)
+        assert tree_indices(trees[::-1]) == stacked[::-1]
+        assert [tree_indices([t])[0] for t in trees] == stacked, n
+
+
+def ulps_away(v, k):
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return Fraction(v)
+
+
+def test_tree_indices_within_8_ulp_by_exact_counts():
+    # an eigenvalue above v - 8 ulp and none above v + 8 ulp, counted in
+    # exact arithmetic
+    for n in range(2, 11):
+        trees = list(enumerate_tree_classes(n).values())
+        for t, lam in zip(trees, tree_indices(trees)):
+            assert tree_eigs_above(t, ulps_away(lam, -8)) >= 1, (n, lam)
+            assert tree_eigs_above(t, ulps_away(lam, 8)) == 0, (n, lam)
+
+
+def test_tree_indices_through_zero_pivots():
+    # at x = -1 every leaf pivot is exactly 0.0; λ1 > 0 on every class
+    for n in range(2, 11):
+        trees = list(enumerate_tree_classes(n).values())
+        parents = np.array([spectra._leaves_first(t) for t in trees])
+        assert all(tree_eigs_above(t, -1) is None for t in trees)
+        assert spectra._above(parents, np.full((len(trees), 3), -1.0)).all(), n
+    # λ1 exactly n - 1 for the star and 2s - 1 for S(s, s), s >= 2 (a
+    # double eigenvalue at s = 2), each a zero pivot of the exact count
+    for t, proved in [(build_star(n), n - 1) for n in range(2, 17)] + [
+        (build_double_star(s, s), 2 * s - 1) for s in range(2, 9)
+    ]:
+        assert tree_eigs_above(t, proved) is None
+        lam = tree_indices([t])[0]
+        assert abs(lam - proved) <= 8 * math.ulp(proved), (t.n, lam)
 
 
 def test_tree_indices_need_one_n():
     assert tree_indices([]) == []
     with pytest.raises(DomainError):
         tree_indices([build_path(6), build_path(7)])
-
-
-def planted_zero_stack(seed):
-    """Random symmetric 7 x 7 matrices, some with exact zeros planted off
-    the diagonal, some with a row cut off around a -0.0 diagonal entry, one
-    already diagonal, so the stack's members converge on different sweeps
-    and skip different rotations."""
-    rng = np.random.default_rng(seed)
-    n = 7
-    mats = []
-    for j in range(10):
-        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
-        a = a + a.T
-        for _ in range(j):
-            p, q = rng.choice(n, 2, replace=False)
-            a[p, q] = a[q, p] = rng.choice([0.0, -0.0])
-        if j % 3 == 1:
-            r = rng.integers(n)
-            a[r, :] = a[:, r] = 0.0
-            a[r, r] = -0.0
-        mats.append(a)
-    mats.append(np.diag([2.0, -0.0, 0.0, -1.0, -0.0, 3.0, 0.0]))
-    return [SymMatrix(a) for a in mats]
-
-
-def test_stack_bit_identical_on_planted_zeros():
-    for seed in range(4):
-        mats = planted_zero_stack(seed)
-        values, sweeps = spectra._stacked_values(mats)
-        singles = [eigen_decompose(m) for m in mats]
-        assert len(set(sweeps.tolist())) >= 3
-        for got, single, k in zip(values, singles, sweeps):
-            # tobytes tells -0.0 from 0.0
-            assert got.tobytes() == single.values.tobytes()
-            assert k == single.sweeps
-    want = np.concatenate([s.values for s in singles])
-    assert np.any(np.signbit(want) & (want == 0.0))
-
-
-def test_stack_convergence_error_carries_norm(monkeypatch):
-    # the diagonal matrix converges at once; the path's off-norm after its
-    # one allowed sweep is the one the single solve reports
-    path = adjacency_matrix(signed_complete_from_tree(build_path(7)))
-    mats = [SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])), path]
-    monkeypatch.setattr("signedkn.spectra.MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError) as single:
-        eigen_decompose(path)
-    with pytest.raises(ConvergenceError) as stacked:
-        spectra._stacked_values(mats)
-    assert stacked.value.off_norm == single.value.off_norm > 0.0
