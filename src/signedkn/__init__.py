@@ -44,7 +44,6 @@ from .perturb import (
     apply_rotation,
     check_precondition,
     hill_climb,
-    trace_to_jsonl,
 )
 from .search import (
     AuditRecord,
@@ -55,9 +54,6 @@ from .search import (
     cross_check_enumeration,
     double_star_chain,
     enumerate_tree_classes,
-    enumerate_with_leaves,
-    report_to_csv,
-    report_to_json,
     structural_audit,
     verify_max_index,
 )
@@ -68,9 +64,7 @@ from .spectra import (
     adjacency_matrix,
     eigen_decompose,
     index,
-    least_eigenvalue,
     residual,
-    spectral_radius,
     spectrum_of,
     top_eigenvector,
     tree_eigs_above,

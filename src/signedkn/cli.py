@@ -2,6 +2,8 @@
 
 Subcommands: spectrum, balance, verify, sweep, chain, climb, enumerate.
 Machine-readable output goes to stdout (or --out), diagnostics to stderr.
+This module alone writes the output formats (JSON, JSONL, CSV and text);
+the library returns data.
 Exit codes: 0 success, 1 usage or internal error, 2 when a verification
 subcommand observes something the extremal statements rule out (argmax is
 not the broom, a tie at the top, a non-monotone chain).
@@ -10,6 +12,8 @@ not the broom, a tie at the top, a non-monotone chain).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import random
 import sys
@@ -20,7 +24,6 @@ from .errors import SignedKnError
 from .graphs import (
     PruferSequence,
     Tree,
-    _check_leaf_count,
     canonical_code,
     format_prufer,
     leaf_count,
@@ -31,14 +34,12 @@ from .graphs import (
     random_tree_with_leaf_count,
     signed_complete_from_tree,
 )
-from .perturb import hill_climb, trace_to_jsonl
+from .perturb import hill_climb
 from .search import (
     CHAIN_GAP_TOL,
     SearchReport,
     double_star_chain,
     enumerate_tree_classes,
-    report_to_csv,
-    report_to_json,
     verify_max_index,
 )
 from .spectra import spectrum_of, tree_index
@@ -133,7 +134,14 @@ def _cmd_spectrum(args) -> int:
     t = _load_tree(args)
     s = spectrum_of(signed_complete_from_tree(t))
     if args.format == "json":
-        _emit(s.to_json() + "\n", args.out)
+        payload = {
+            "n": s.n,
+            "values": [float(v) for v in s.values],
+            "lambda1": s.lambda1,
+            "lambdan": s.lambdan,
+            "radius": s.radius,
+        }
+        _emit(json.dumps(payload) + "\n", args.out)
     else:
         lines = [
             f"n={s.n} lambda1={s.lambda1!r} lambdan={s.lambdan!r} "
@@ -189,9 +197,36 @@ def _report_discovery(r: SearchReport) -> bool:
 def _cmd_verify(args) -> int:
     r = verify_max_index(args.n, args.k)
     if args.format == "json":
-        _emit(report_to_json(r) + "\n", args.out)
+        payload = {
+            "n": r.n,
+            "k": r.k,
+            "mode": r.mode,
+            "argmax_code": r.argmax_code,
+            "runner_up_gap": r.runner_up_gap,
+            "matches_broom": r.matches_broom,
+            "tied_codes": list(r.tied_codes),
+            "classes": [
+                {
+                    "canonical_code": c.canonical_code,
+                    "prufer": list(c.prufer),
+                    "leaf_count": c.leaf_count,
+                    "lambda1": c.lambda1,
+                    "is_argmax": c.is_argmax,
+                }
+                for c in r.classes
+            ],
+        }
+        _emit(json.dumps(payload) + "\n", args.out)
     elif args.format == "csv":
-        _emit(report_to_csv(r), args.out)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"])
+        for c in r.classes:
+            prufer = format_prufer(PruferSequence(r.n, c.prufer))
+            w.writerow(
+                [r.n, r.k, c.canonical_code, prufer, c.leaf_count, repr(c.lambda1), c.is_argmax]
+            )
+        _emit(buf.getvalue(), args.out)
     else:
         s = _report_summary(r)
         lines = [
@@ -277,7 +312,19 @@ def _cmd_climb(args) -> int:
         "steps": len(trace),
     }
     if args.format == "json":
-        _emit(trace_to_jsonl(trace) + json.dumps({"final": final_rec}) + "\n", args.out)
+        lines = [
+            json.dumps(
+                {
+                    "step": st.step,
+                    "kind": st.kind,
+                    "vertices": list(st.vertices),
+                    "lambda1": st.lambda1,
+                }
+            )
+            for st in trace
+        ]
+        lines.append(json.dumps({"final": final_rec}))
+        _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":
         lines = ["step,kind,vertices,lambda1"]
         lines += [
@@ -299,9 +346,7 @@ def _cmd_climb(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.k is not None:
-        _check_leaf_count(args.n, args.k)
-    classes = enumerate_tree_classes(args.n, method=args.method)
+    classes = enumerate_tree_classes(args.n, args.method, args.k)
     rows = [
         {
             "canonical_code": code,
@@ -309,7 +354,6 @@ def _cmd_enumerate(args) -> int:
             "leaf_count": leaf_count(t),
         }
         for code, t in classes.items()
-        if args.k is None or leaf_count(t) == args.k
     ]
     if args.format == "json":
         _emit(

@@ -229,8 +229,6 @@ def _centroids(t: Tree) -> list[int]:
     """The one or two vertices minimising the largest component left by
     their removal (subtree-size centroid, not the path center)."""
     n = t.n
-    if n == 2:
-        return [0, 1]
     adj = t.adjacency()
     order, parent = _bfs_order(adj, 0)
     size = [1] * n

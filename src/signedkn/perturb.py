@@ -10,7 +10,6 @@ which is what the climb exploits.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -184,22 +183,6 @@ class ClimbStep:
     kind: str
     vertices: tuple[int, ...]
     lambda1: float
-
-
-def trace_to_jsonl(trace: list[ClimbStep]) -> str:
-    """One JSON object per accepted move."""
-    lines = [
-        json.dumps(
-            {
-                "step": st.step,
-                "kind": st.kind,
-                "vertices": list(st.vertices),
-                "lambda1": st.lambda1,
-            }
-        )
-        for st in trace
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:

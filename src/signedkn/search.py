@@ -19,15 +19,16 @@ Two independent enumeration routes are kept deliberately:
       read from it, so a Tree is built and canonicalised only for the
       classes a caller keeps.
 
-Their agreement is part of the acceptance suite; class counts are pinned
-against the known free-tree counting sequence.
+enumerate_tree_classes(n, method, k) is the one entry to both routes, with
+or without a leaf count k.  The routes' agreement is part of the
+acceptance suite; class counts are pinned against the known free-tree
+counting sequence.
+
+The results are plain dataclasses and lists; cli formats them for output.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ from .graphs import (
     build_broom,
     build_double_star,
     canonical_code,
-    format_prufer,
     leaf_count,
     prufer_decode,
     prufer_encode,
@@ -268,11 +268,6 @@ def _free_trees(n: int):
         layout = _next_rooted_tree(layout)
 
 
-def _check_class_n(n: int) -> None:
-    if not 2 <= n <= MAX_N:
-        raise DomainError(f"class enumeration supports 2 <= n <= {MAX_N}, got {n}")
-
-
 def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
     """The generated classes on n vertices, or only those with k leaves.
     Leaves are counted on the parent array, so a Tree is built and
@@ -305,18 +300,28 @@ def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
     return reps
 
 
-def enumerate_tree_classes(n: int, method: str = "generate") -> dict[str, Tree]:
+def enumerate_tree_classes(
+    n: int, method: str = "generate", k: int | None = None
+) -> dict[str, Tree]:
     """One representative per free-tree isomorphism class on n vertices,
-    keyed by canonical code, in ascending code order.
+    keyed by canonical code, in ascending code order; with k, only the
+    classes with k leaves.
 
-    method "generate" (default) uses canonical generation; "prufer" decodes
-    all n**(n-2) sequences and deduplicates by canonical code (n <= 9).
+    method "generate" (default) uses canonical generation, which builds
+    only the classes it keeps; "prufer" decodes all n**(n-2) sequences,
+    deduplicates by canonical code (n <= 9) and then keeps the k-leaf
+    classes.
     """
-    _check_class_n(n)
+    if k is not None:
+        _check_leaf_count(n, k)
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"class enumeration supports 2 <= n <= {MAX_N}, got {n}")
     if method == "generate":
-        reps = _classes_by_generation(n)
+        reps = _classes_by_generation(n, k)
     elif method == "prufer":
         reps = _classes_by_prufer(n)
+        if k is not None:
+            reps = {code: t for code, t in reps.items() if leaf_count(t) == k}
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
     return dict(sorted(reps.items()))
@@ -340,14 +345,6 @@ def cross_check_enumeration(n: int) -> EnumerationCrossCheck:
     gen = enumerate_tree_classes(n, method="generate")
     pru = enumerate_tree_classes(n, method="prufer")
     return EnumerationCrossCheck(n, len(gen), len(pru), list(gen) == list(pru))
-
-
-def enumerate_with_leaves(n: int, k: int) -> dict[str, Tree]:
-    """The classes on n vertices with exactly k leaves, keyed by canonical
-    code in ascending order."""
-    _check_leaf_count(n, k)
-    _check_class_n(n)
-    return dict(sorted(_classes_by_generation(n, k).items()))
 
 
 @dataclass(frozen=True)
@@ -399,7 +396,7 @@ def verify_max_index(n: int, k: int) -> SearchReport:
     from the extremal statement; k = n-2 checks that the argmax is the
     double star with one pendant on one side, which the broom realizes).
     """
-    classes = enumerate_with_leaves(n, k)
+    classes = enumerate_tree_classes(n, k=k)
     lams = tree_indices(list(classes.values()))
     mx = max(lams)
     arg_i = lams.index(mx)
@@ -489,49 +486,3 @@ def structural_audit(t: Tree) -> AuditRecord:
         non_hub_degrees_le_2=others_le_2,
         passed=max_degree_is_k and unique_max and hub_pendant and others_le_2,
     )
-
-
-def report_to_json(r: SearchReport) -> str:
-    return json.dumps(
-        {
-            "n": r.n,
-            "k": r.k,
-            "mode": r.mode,
-            "argmax_code": r.argmax_code,
-            "runner_up_gap": r.runner_up_gap,
-            "matches_broom": r.matches_broom,
-            "tied_codes": list(r.tied_codes),
-            "classes": [
-                {
-                    "canonical_code": c.canonical_code,
-                    "prufer": list(c.prufer),
-                    "leaf_count": c.leaf_count,
-                    "lambda1": c.lambda1,
-                    "is_argmax": c.is_argmax,
-                }
-                for c in r.classes
-            ],
-        }
-    )
-
-
-CSV_COLUMNS = ["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"]
-
-
-def report_to_csv(r: SearchReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for c in r.classes:
-        w.writerow(
-            [
-                r.n,
-                r.k,
-                c.canonical_code,
-                format_prufer(PruferSequence(r.n, c.prufer)),
-                c.leaf_count,
-                repr(c.lambda1),
-                c.is_argmax,
-            ]
-        )
-    return buf.getvalue()

@@ -1,7 +1,7 @@
 """Dense symmetric eigendecomposition via cyclic Jacobi sweeps, plus the
-spectral quantities of signed complete graphs: index (largest eigenvalue),
-least eigenvalue, spectral radius, and the top eigenvector with a fixed
-sign convention.
+spectral quantities of signed complete graphs: the Spectrum with its index
+(largest eigenvalue), least eigenvalue and spectral radius, and the top
+eigenvector with a fixed sign convention.
 
 λ1 of (K_n, T-) comes from tree elimination (Jacobs & Trevisan, "Locating
 the eigenvalues of trees", Linear Algebra Appl. 434, 2011) with one
@@ -15,7 +15,6 @@ solve one matrix by Jacobi.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,18 +96,6 @@ class Spectrum:
     @property
     def radius(self) -> float:
         return max(self.lambda1, -self.lambdan)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "values": [float(v) for v in self.values],
-            "lambda1": self.lambda1,
-            "lambdan": self.lambdan,
-            "radius": self.radius,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -341,14 +328,6 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     if corner == 0:
         return None
     return above + (corner > 0)
-
-
-def least_eigenvalue(g: SignedCompleteGraph) -> float:
-    return spectrum_of(g).lambdan
-
-
-def spectral_radius(g: SignedCompleteGraph) -> float:
-    return spectrum_of(g).radius
 
 
 def residual(m: SymMatrix, value: float, vector: np.ndarray) -> float:

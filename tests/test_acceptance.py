@@ -23,7 +23,7 @@ from signedkn import (
     cross_check_enumeration,
     double_star_chain,
     eigen_decompose,
-    enumerate_with_leaves,
+    enumerate_tree_classes,
     hill_climb,
     index,
     is_balanced,
@@ -273,7 +273,7 @@ def test_criterion_09_hill_climb_vs_exhaustive():
     for n in range(3, 9):
         for k in range(2, n):
             total_pairs += 1
-            best = max(tree_index(t) for t in enumerate_with_leaves(n, k).values())
+            best = max(tree_index(t) for t in enumerate_tree_classes(n, k=k).values())
             hits = 0
             for _ in range(50):
                 start = random_tree_with_leaf_count(n, k, rnd)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import signedkn
-from signedkn import spectra
+from signedkn import canonical_code, parse_prufer, prufer_decode, spectra
 from signedkn.cli import run
 
 
@@ -301,15 +301,27 @@ def test_enumerate_impossible_k(capsys):
 
 
 def test_enumerate_prufer_method_agrees(capsys):
-    # same classes in the same order; representatives may be labeled
-    # differently per method, so compare codes rather than prufer strings
-    rc = run(["enumerate", "--n", "6", "--method", "prufer"])
-    out1 = capsys.readouterr().out
-    assert rc == 0
-    run(["enumerate", "--n", "6", "--method", "generate"])
-    out2 = capsys.readouterr().out
-    key = lambda doc: [(c["canonical_code"], c["leaf_count"]) for c in doc["classes"]]
-    assert key(json.loads(out1)) == key(json.loads(out2))
+    # same classes in the same order, with or without --k; representatives
+    # may be labeled differently per method, so compare codes rather than
+    # prufer strings, and check that each prufer decodes to its class
+    for n in range(3, 9):
+        for k in [None, *range(2, n)]:
+            docs = []
+            for method in ("prufer", "generate"):
+                argv = ["enumerate", "--n", str(n), "--method", method]
+                assert run(argv + ([] if k is None else ["--k", str(k)])) == 0
+                docs.append(json.loads(capsys.readouterr().out))
+            rows = [
+                [(c["canonical_code"], c["leaf_count"]) for c in doc["classes"]]
+                for doc in docs
+            ]
+            assert rows[0] == rows[1] and rows[0], (n, k)
+            assert docs[0]["count"] == docs[1]["count"] == len(rows[0])
+            assert k is None or all(count == k for _, count in rows[0])
+            for doc in docs:
+                for c in doc["classes"]:
+                    t = prufer_decode(parse_prufer(c["prufer"]))
+                    assert canonical_code(t) == c["canonical_code"]
 
 
 def test_enumerate_csv(capsys):

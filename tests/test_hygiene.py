@@ -10,6 +10,9 @@ be referenced, as a name or an attribute, somewhere in the package.
 
 Doc drift: every name README's entry-point list gives for a module must
 exist in that module.
+
+One output owner: among the package modules only `cli.py` may import
+`json`, `csv` or `io`; the library returns data and the CLI formats it.
 """
 
 import ast
@@ -72,6 +75,49 @@ def test_guard_flags_unused_and_honours_noqa():
         "    return numpy.linalg.norm(x) * pi\n"
     )
     assert unused_imports(src) == [("os", 2), ("osp", 2), ("tau", 5)]
+
+
+FORMAT_MODULES = {"json", "csv", "io"}
+
+
+def format_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) for each import of an output-format module, however
+    it is spelled: `import json`, `import io as x`, `from csv import writer`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        out += [(m, node.lineno) for m in modules if m.partition(".")[0] in FORMAT_MODULES]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(ROOT.glob("src/signedkn/*.py")) if p.name != "cli.py"],
+    ids=lambda p: p.name,
+)
+def test_only_cli_imports_output_formats(path):
+    assert format_imports(path.read_text()) == []
+
+
+def test_guard_flags_every_spelling_of_a_format_import():
+    src = (
+        "import json\n"
+        "import io as stream, math\n"
+        "from csv import writer\n"
+        "from json.decoder import JSONDecodeError\n"
+        "import jsonschema\n"
+        "from .io import read\n"
+        "def f():\n"
+        "    import csv\n"
+    )
+    assert format_imports(src) == [
+        ("json", 1), ("io", 2), ("csv", 3), ("json.decoder", 4), ("csv", 8)
+    ]
 
 
 def dead_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:

@@ -26,7 +26,7 @@ from signedkn import (
     build_path,
     build_star,
     check_precondition,
-    enumerate_with_leaves,
+    enumerate_tree_classes,
     hill_climb,
     index,
     leaf_count,
@@ -34,10 +34,10 @@ from signedkn import (
     random_tree_with_leaf_count,
     signed_complete_from_tree,
     top_eigenvector,
-    trace_to_jsonl,
     tree_index,
 )
 from signedkn import perturb, spectra
+from signedkn.cli import run
 from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
 from signedkn.spectra import JACOBI_REL_TOL
 
@@ -377,7 +377,7 @@ def test_climb_reaches_global_max_n6():
     for k in range(2, 6):
         best = max(
             index(signed_complete_from_tree(t))
-            for t in enumerate_with_leaves(6, k).values()
+            for t in enumerate_tree_classes(6, k=k).values()
         )
         for _ in range(5):
             start = random_tree_with_leaf_count(6, k, rnd)
@@ -486,16 +486,26 @@ def test_climb_deterministic():
     assert tr1 == tr2
 
 
-def test_trace_jsonl_shape():
+def test_trace_jsonl_shape(capsys):
+    # the CLI draws its start from random.Random(seed) the same way
     rnd = random.Random(11)
     start = random_tree_with_leaf_count(8, 4, rnd)
     _, trace = hill_climb(start)
-    text = trace_to_jsonl(trace)
-    lines = [ln for ln in text.splitlines() if ln]
-    assert len(lines) == len(trace)
-    for i, ln in enumerate(lines):
+    assert trace
+    assert run(["climb", "--n", "8", "--k", "4", "--seed", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(trace) + 1
+    for i, (ln, st) in enumerate(zip(lines, trace)):
         doc = json.loads(ln)
         assert set(doc) == {"step", "kind", "vertices", "lambda1"}
         assert doc["step"] == i + 1
         assert doc["kind"] in ("type_i", "type_ii")
-    assert trace_to_jsonl([]) == ""
+        assert (doc["kind"], tuple(doc["vertices"]), doc["lambda1"]) == (
+            st.kind,
+            st.vertices,
+            st.lambda1,
+        )
+    assert set(json.loads(lines[-1])) == {"final"}
+    # an empty trace adds no line before the final record
+    assert run(["climb", "--n", "8", "--k", "4", "--seed", "11", "--max-steps", "0"]) == 0
+    assert [set(json.loads(ln)) for ln in capsys.readouterr().out.splitlines()] == [{"final"}]

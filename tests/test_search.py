@@ -22,20 +22,18 @@ from signedkn import (
     cross_check_enumeration,
     double_star_chain,
     enumerate_tree_classes,
-    enumerate_with_leaves,
     hill_climb,
     leaf_count,
     prufer_decode,
     prufer_encode,
-    report_to_csv,
-    report_to_json,
     structural_audit,
     tree_index,
     verify_max_index,
 )
 from signedkn import search, spectra
+from signedkn.cli import run
 from signedkn.graphs import _rooted_code
-from signedkn.search import CSV_COLUMNS, FREE_TREE_COUNTS
+from signedkn.search import FREE_TREE_COUNTS
 
 # classes with exactly k leaves, tabulated from the full enumeration once
 LEAF_TABLE = {
@@ -169,20 +167,34 @@ def test_leaf_partition(classes_of):
     for n, table in LEAF_TABLE.items():
         assert sum(table.values()) == FREE_TREE_COUNTS[n]
         for k, count in table.items():
-            assert len(enumerate_with_leaves(n, k)) == count
+            assert len(enumerate_tree_classes(n, k=k)) == count
 
 
 def test_leaf_classes_extremes():
-    assert list(enumerate_with_leaves(7, 2)) == [canonical_code(build_path(7))]
-    assert list(enumerate_with_leaves(7, 6)) == [canonical_code(build_star(7))]
-    assert len(enumerate_with_leaves(7, 3)) == 3
+    assert list(enumerate_tree_classes(7, k=2)) == [canonical_code(build_path(7))]
+    assert list(enumerate_tree_classes(7, k=6)) == [canonical_code(build_star(7))]
+    assert len(enumerate_tree_classes(7, k=3)) == 3
 
 
-def test_enumerate_with_leaves_validation():
-    with pytest.raises(DomainError):
-        enumerate_with_leaves(6, 1)
-    with pytest.raises(DomainError):
-        enumerate_with_leaves(6, 6)
+def test_enumerate_leaf_count_validation():
+    for method in ("generate", "prufer"):
+        with pytest.raises(DomainError):
+            enumerate_tree_classes(6, method, 1)
+        with pytest.raises(DomainError):
+            enumerate_tree_classes(6, method, 6)
+    # the leaf count is checked before n and the method
+    with pytest.raises(DomainError, match="need 2 <= k"):
+        enumerate_tree_classes(13, "magic", 13)
+
+
+def test_both_methods_give_the_same_leaf_classes_in_order():
+    for n in range(2, 9):
+        for k in range(2, n):
+            by_prufer = enumerate_tree_classes(n, "prufer", k)
+            by_generation = enumerate_tree_classes(n, k=k)
+            assert list(by_prufer) == list(by_generation), (n, k)
+            assert [canonical_code(t) for t in by_prufer.values()] == list(by_prufer)
+            assert all(leaf_count(t) == k for t in by_prufer.values())
 
 
 # ------------------------------------------------------------ verification
@@ -243,16 +255,16 @@ def test_verify_builds_only_its_leaf_classes(monkeypatch):
 
 def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
     with pytest.raises(DomainError):
-        enumerate_with_leaves(13, 4)
+        enumerate_tree_classes(13, k=4)
     with monkeypatch.context() as m:
         m.setattr(search, "canonical_code", lambda t: "10")
         with pytest.raises(InvariantViolationError, match="collapsed"):
-            enumerate_with_leaves(8, 4)
+            enumerate_tree_classes(8, k=4)
     # the class count runs over every generated sequence, kept or not
     generate = search._free_trees
     monkeypatch.setattr(search, "_free_trees", lambda n: list(generate(n))[1:])
     with pytest.raises(InvariantViolationError, match="expected 23"):
-        enumerate_with_leaves(8, 4)
+        enumerate_tree_classes(8, k=4)
 
 
 def test_verify_and_chain_solve_as_one_stack(monkeypatch):
@@ -411,9 +423,14 @@ def test_audit_path_and_star_not_applicable():
 # ------------------------------------------------------------ serialization
 
 
-def test_report_json_round_trip():
+def verify_stdout(capsys, n, k, fmt):
+    assert run(["verify", "--n", str(n), "--k", str(k), "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_report_json_round_trip(capsys):
     r = verify_max_index(6, 3)
-    doc = json.loads(report_to_json(r))
+    doc = json.loads(verify_stdout(capsys, 6, 3, "json"))
     assert doc["n"] == 6
     assert doc["k"] == 3
     assert doc["mode"] == "reduced"
@@ -423,12 +440,15 @@ def test_report_json_round_trip():
     assert len(doc["classes"]) == 2
     flags = [c["is_argmax"] for c in doc["classes"]]
     assert flags.count(True) == 1
+    for c, rec in zip(doc["classes"], r.classes):
+        assert tuple(c["prufer"]) == rec.prufer
+        assert c["lambda1"] == rec.lambda1
 
 
-def test_report_csv_shape():
+def test_report_csv_shape(capsys):
     r = verify_max_index(6, 3)
-    rows = list(csv.reader(io.StringIO(report_to_csv(r))))
-    assert rows[0] == CSV_COLUMNS
+    rows = list(csv.reader(io.StringIO(verify_stdout(capsys, 6, 3, "csv"))))
+    assert rows[0] == ["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"]
     assert len(rows) == 1 + len(r.classes)
     for row, c in zip(rows[1:], r.classes):
         assert row[0] == "6" and row[1] == "3"
@@ -438,9 +458,9 @@ def test_report_csv_shape():
         assert row[6] in ("True", "False")
 
 
-def test_csv_lambda_survives_parse_round_trip():
+def test_csv_lambda_survives_parse_round_trip(capsys):
     r = verify_max_index(7, 3)
-    rows = list(csv.reader(io.StringIO(report_to_csv(r))))
+    rows = list(csv.reader(io.StringIO(verify_stdout(capsys, 7, 3, "csv"))))
     for row, c in zip(rows[1:], r.classes):
         assert float(row[5]) == c.lambda1
 

@@ -27,12 +27,12 @@ from signedkn import (
     build_star,
     eigen_decompose,
     enumerate_tree_classes,
+    format_prufer,
     index,
-    least_eigenvalue,
     prufer_decode,
+    prufer_encode,
     residual,
     signed_complete_from_tree,
-    spectral_radius,
     spectrum_of,
     top_eigenvector,
     tree_eigs_above,
@@ -40,6 +40,7 @@ from signedkn import (
     tree_indices,
 )
 from signedkn import spectra
+from signedkn.cli import run
 from signedkn.spectra import JACOBI_REL_TOL
 
 
@@ -124,9 +125,10 @@ def test_path6_index_golden():
 
 def test_index_least_radius_star():
     g = signed_complete_from_tree(build_star(6))
+    s = spectrum_of(g)
     assert abs(index(g) - 5.0) <= 1e-9
-    assert abs(least_eigenvalue(g) + 1.0) <= 1e-9
-    assert abs(spectral_radius(g) - 5.0) <= 1e-9
+    assert abs(s.lambdan + 1.0) <= 1e-9
+    assert abs(s.radius - 5.0) <= 1e-9
 
 
 def test_radius_is_max_abs():
@@ -134,7 +136,7 @@ def test_radius_is_max_abs():
     for _ in range(20):
         g = random_tree_graph(rnd.randrange(4, 11), rnd)
         s = spectrum_of(g)
-        assert abs(spectral_radius(g) - max(s.lambda1, -s.lambdan)) <= 1e-12
+        assert s.radius == max(abs(float(v)) for v in s.values)
 
 
 # ---------------------------------------------------------------- solver laws
@@ -306,9 +308,14 @@ def test_negated_vector_same_residual():
 # ---------------------------------------------------------------- serialization
 
 
-def test_spectrum_json_shape():
+def spectrum_doc(capsys, t):
+    assert run(["spectrum", "--prufer", format_prufer(prufer_encode(t))]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_spectrum_json_shape(capsys):
     s = spectrum_of(signed_complete_from_tree(build_path(4)))
-    doc = json.loads(s.to_json())
+    doc = spectrum_doc(capsys, build_path(4))
     assert set(doc) == {"n", "values", "lambda1", "lambdan", "radius"}
     assert doc["n"] == 4
     assert doc["values"] == [float(v) for v in s.values]
@@ -316,8 +323,8 @@ def test_spectrum_json_shape():
     assert doc["radius"] == max(doc["lambda1"], -doc["lambdan"])
 
 
-def test_spectrum_json_full_precision():
-    doc = json.loads(spectrum_of(signed_complete_from_tree(build_path(6))).to_json())
+def test_spectrum_json_full_precision(capsys):
+    doc = spectrum_doc(capsys, build_path(6))
     assert doc["lambda1"] == 2.6038754716096766
 
 
@@ -357,12 +364,12 @@ def test_spectrum_vectors_diagonalize():
     assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(7))) <= 1e-12
 
 
-def test_spectrum_reports_sweeps():
+def test_spectrum_reports_sweeps(capsys):
     diag = eigen_decompose(SymMatrix(np.diag([3.0, -1.0, 2.0, 0.5])))
     assert diag.sweeps == 0
     path = spectrum_of(signed_complete_from_tree(build_path(7)))
     assert path.sweeps >= 1
-    assert "sweeps" not in path.to_json_dict()
+    assert "sweeps" not in spectrum_doc(capsys, build_path(7))
 
 
 # ---------------------------------------------------------------- exact counts
