@@ -63,7 +63,6 @@ from .spectra import (
     TopEigenvector,
     adjacency_matrix,
     eigen_decompose,
-    index,
     residual,
     spectrum_of,
     top_eigenvector,

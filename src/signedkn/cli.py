@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: spectrum, balance, verify, sweep, chain, climb, enumerate.
-Machine-readable output goes to stdout (or --out), diagnostics to stderr.
 This module alone writes the output formats (JSON, JSONL, CSV and text);
-the library returns data.
+the library returns data. Each subcommand's handler returns its exit code
+and its whole output text, which `run` writes once, to stdout or to --out;
+diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or internal error, 2 when a verification
 subcommand observes something the extremal statements rule out (argmax is
 not the broom, a tie at the top, a non-monotone chain).
@@ -60,9 +61,11 @@ def _add_tree_input(p: _Parser) -> None:
     grp.add_argument("--edges", help="path to an edge-list file: 'n' then 'u v' lines")
 
 
-def _add_output(p: _Parser, formats: tuple[str, ...]) -> None:
+def _add_output(p: _Parser, formats: tuple[str, ...], handler) -> None:
+    """--format and --out, and the handler that returns the text they shape."""
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", help="write output to this path instead of stdout")
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> _Parser:
@@ -71,16 +74,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="adjacency spectrum of (K_n, T-)")
     _add_tree_input(p)
-    _add_output(p, ("json", "text"))
+    _add_output(p, ("json", "text"), _cmd_spectrum)
 
     p = sub.add_parser("balance", help="balance flag with witness")
     _add_tree_input(p)
-    _add_output(p, ("json", "text"))
+    _add_output(p, ("json", "text"), _cmd_balance)
 
     p = sub.add_parser("verify", help="exhaustive argmax check at one (n, k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_output(p, ("json", "csv", "text"))
+    _add_output(p, ("json", "csv", "text"), _cmd_verify)
 
     p = sub.add_parser("sweep", help="verify across a range of n")
     p.add_argument("--n-min", type=int, required=True)
@@ -90,31 +93,26 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="include the edge cases k=2, n-2, n-1 (default: 3 <= k <= n-3)",
     )
-    _add_output(p, ("json", "csv", "text"))
+    _add_output(p, ("json", "csv", "text"), _cmd_sweep)
 
     p = sub.add_parser("chain", help="double-star chain at one n")
     p.add_argument("--n", type=int, required=True)
-    _add_output(p, ("json", "csv", "text"))
+    _add_output(p, ("json", "csv", "text"), _cmd_chain)
 
     p = sub.add_parser("climb", help="hill climb from a random k-leaf tree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=500)
-    _add_output(p, ("json", "csv", "text"))
+    _add_output(p, ("json", "csv", "text"), _cmd_climb)
 
     p = sub.add_parser("enumerate", help="tree isomorphism classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=("generate", "prufer"), default="generate")
-    _add_output(p, ("json", "csv", "text"))
+    _add_output(p, ("json", "csv", "text"), _cmd_enumerate)
 
     return parser
-
-
-# Built once: each parser holds reference cycles that only the cyclic
-# collector frees, so one per call piles up garbage across in-process calls.
-_PARSER = _build_parser()
 
 
 def _load_tree(args) -> Tree:
@@ -123,16 +121,17 @@ def _load_tree(args) -> Tree:
     return parse_edge_list(Path(args.edges).read_text())
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _csv(header: list[str], rows) -> str:
+    """CSV text with bare newline line ends; None is an empty cell, a float its repr."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
-def _cmd_spectrum(args) -> int:
-    t = _load_tree(args)
-    s = spectrum_of(signed_complete_from_tree(t))
+def _cmd_spectrum(args) -> tuple[int, str]:
+    s = spectrum_of(signed_complete_from_tree(_load_tree(args)))
     if args.format == "json":
         payload = {
             "n": s.n,
@@ -141,49 +140,39 @@ def _cmd_spectrum(args) -> int:
             "lambdan": s.lambdan,
             "radius": s.radius,
         }
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        lines = [
-            f"n={s.n} lambda1={s.lambda1!r} lambdan={s.lambdan!r} "
-            f"radius={s.radius!r}",
-            "values: " + " ".join(repr(float(v)) for v in s.values),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, json.dumps(payload) + "\n"
+    lines = [
+        f"n={s.n} lambda1={s.lambda1!r} lambdan={s.lambdan!r} "
+        f"radius={s.radius!r}",
+        "values: " + " ".join(repr(float(v)) for v in s.values),
+    ]
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_balance(args) -> int:
-    t = _load_tree(args)
-    g = signed_complete_from_tree(t)
+def _cmd_balance(args) -> tuple[int, str]:
+    g = signed_complete_from_tree(_load_tree(args))
     split = bipartition(g)
     if split is not None:
-        plus, minus = split
-        payload = {
-            "n": g.n,
-            "balanced": True,
-            "bipartition": [sorted(plus), sorted(minus)],
-        }
-        text = f"balanced: plus={sorted(plus)} minus={sorted(minus)}"
+        plus, minus = (sorted(side) for side in split)
+        payload = {"n": g.n, "balanced": True, "bipartition": [plus, minus]}
+        text = f"balanced: plus={plus} minus={minus}"
     else:
         tri = find_negative_triangle(g)
         payload = {"n": g.n, "balanced": False, "negative_triangle": list(tri)}
         text = f"unbalanced: negative triangle {tri}"
     if args.format == "json":
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit(text + "\n", args.out)
-    return 0
+        text = json.dumps(payload)
+    return 0, text + "\n"
 
 
 def _report_summary(r: SearchReport) -> dict:
-    best = next(c for c in r.classes if c.is_argmax)
     return {
         "n": r.n,
         "k": r.k,
         "mode": r.mode,
         "classes": len(r.classes),
         "argmax_code": r.argmax_code,
-        "lambda1": best.lambda1,
+        "lambda1": max(c.lambda1 for c in r.classes),
         "runner_up_gap": r.runner_up_gap,
         "matches_broom": r.matches_broom,
         "tied": len(r.tied_codes),
@@ -194,110 +183,76 @@ def _report_discovery(r: SearchReport) -> bool:
     return (not r.matches_broom) or len(r.tied_codes) > 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     r = verify_max_index(args.n, args.k)
+    code = 2 if _report_discovery(r) else 0
     if args.format == "json":
-        payload = {
-            "n": r.n,
-            "k": r.k,
-            "mode": r.mode,
-            "argmax_code": r.argmax_code,
-            "runner_up_gap": r.runner_up_gap,
-            "matches_broom": r.matches_broom,
-            "tied_codes": list(r.tied_codes),
-            "classes": [
-                {
-                    "canonical_code": c.canonical_code,
-                    "prufer": list(c.prufer),
-                    "leaf_count": c.leaf_count,
-                    "lambda1": c.lambda1,
-                    "is_argmax": c.is_argmax,
-                }
-                for c in r.classes
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"])
-        for c in r.classes:
-            prufer = format_prufer(PruferSequence(r.n, c.prufer))
-            w.writerow(
-                [r.n, r.k, c.canonical_code, prufer, c.leaf_count, repr(c.lambda1), c.is_argmax]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        s = _report_summary(r)
-        lines = [
-            f"n={r.n} k={r.k} mode={r.mode} classes={s['classes']} "
-            f"matches_broom={r.matches_broom} gap={r.runner_up_gap!r}",
+        # the report's fields in their own order, but with the classes last
+        payload = {f: v for f, v in vars(r).items() if f != "classes"}
+        payload["classes"] = [vars(c) for c in r.classes]
+        return code, json.dumps(payload) + "\n"
+    prufers = [format_prufer(PruferSequence(r.n, c.prufer)) for c in r.classes]
+    if args.format == "csv":
+        header = ["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"]
+        rows = [
+            [r.n, r.k, c.canonical_code, prufer, c.leaf_count, c.lambda1, c.is_argmax]
+            for c, prufer in zip(r.classes, prufers)
         ]
-        for c in r.classes:
-            mark = " *" if c.is_argmax else ""
-            prufer = format_prufer(PruferSequence(r.n, c.prufer))
-            lines.append(
-                f"  {c.canonical_code} prufer={prufer} lambda1={c.lambda1!r}{mark}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 2 if _report_discovery(r) else 0
+        return code, _csv(header, rows)
+    lines = [
+        f"n={r.n} k={r.k} mode={r.mode} classes={len(r.classes)} "
+        f"matches_broom={r.matches_broom} gap={r.runner_up_gap!r}",
+    ]
+    for c, prufer in zip(r.classes, prufers):
+        mark = " *" if c.is_argmax else ""
+        lines.append(f"  {c.canonical_code} prufer={prufer} lambda1={c.lambda1!r}{mark}")
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     if args.n_min > args.n_max:
         raise SignedKnError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    summaries = []
-    discovery = False
-    for n in range(args.n_min, args.n_max + 1):
-        ks = range(2, n) if args.all_k else range(3, n - 2)
-        for k in ks:
-            r = verify_max_index(n, k)
-            summaries.append(_report_summary(r))
-            discovery = discovery or _report_discovery(r)
+    reports = [
+        verify_max_index(n, k)
+        for n in range(args.n_min, args.n_max + 1)
+        for k in (range(2, n) if args.all_k else range(3, n - 2))
+    ]
+    summaries = [_report_summary(r) for r in reports]
+    code = 2 if any(_report_discovery(r) for r in reports) else 0
     if args.format == "json":
-        _emit(json.dumps({"reports": summaries}) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["n,k,mode,classes,argmax_code,lambda1,runner_up_gap,matches_broom,tied"]
-        for s in summaries:
-            gap = "" if s["runner_up_gap"] is None else repr(s["runner_up_gap"])
-            lines.append(
-                f"{s['n']},{s['k']},{s['mode']},{s['classes']},{s['argmax_code']},"
-                f"{s['lambda1']!r},{gap},{s['matches_broom']},{s['tied']}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"n={s['n']} k={s['k']} matches_broom={s['matches_broom']} "
-            f"lambda1={s['lambda1']!r} gap={s['runner_up_gap']!r}"
-            for s in summaries
-        ]
-        ok = sum(1 for s in summaries if s["matches_broom"])
-        lines.append(f"{ok}/{len(summaries)} cases match the broom")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 2 if discovery else 0
+        return code, json.dumps({"reports": summaries}) + "\n"
+    if args.format == "csv":
+        header = "n k mode classes argmax_code lambda1 runner_up_gap matches_broom tied"
+        return code, _csv(header.split(), [s.values() for s in summaries])
+    lines = [
+        f"n={s['n']} k={s['k']} matches_broom={s['matches_broom']} "
+        f"lambda1={s['lambda1']!r} gap={s['runner_up_gap']!r}"
+        for s in summaries
+    ]
+    ok = sum(1 for s in summaries if s["matches_broom"])
+    lines.append(f"{ok}/{len(summaries)} cases match the broom")
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args) -> tuple[int, str]:
     rows = double_star_chain(args.n)
     gaps_ok = all(b[2] - a[2] > CHAIN_GAP_TOL for a, b in zip(rows, rows[1:]))
+    code = 0 if gaps_ok else 2
     if args.format == "json":
         payload = {
             "n": args.n,
             "chain": [{"s": s, "t": t, "lambda1": lam} for s, t, lam in rows],
             "monotone": gaps_ok,
         }
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["s,t,lambda1"] + [f"{s},{t},{lam!r}" for s, t, lam in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"T({s},{t}): lambda1={lam!r}" for s, t, lam in rows]
-        lines.append("strictly increasing" if gaps_ok else "NOT strictly increasing")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if gaps_ok else 2
+        return code, json.dumps(payload) + "\n"
+    if args.format == "csv":
+        return code, _csv(["s", "t", "lambda1"], rows)
+    lines = [f"T({s},{t}): lambda1={lam!r}" for s, t, lam in rows]
+    lines.append("strictly increasing" if gaps_ok else "NOT strictly increasing")
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_climb(args) -> int:
+def _cmd_climb(args) -> tuple[int, str]:
     rng = random.Random(args.seed)
     start = random_tree_with_leaf_count(args.n, args.k, rng)
     final, trace = hill_climb(start, max_steps=args.max_steps)
@@ -311,27 +266,15 @@ def _cmd_climb(args) -> int:
         "final_lambda1": tree_index(final),
         "steps": len(trace),
     }
+    if args.format == "csv":
+        rows = [
+            [st.step, st.kind, " ".join(str(v) for v in st.vertices), st.lambda1]
+            for st in trace
+        ]
+        return 0, _csv(["step", "kind", "vertices", "lambda1"], rows)
     if args.format == "json":
-        lines = [
-            json.dumps(
-                {
-                    "step": st.step,
-                    "kind": st.kind,
-                    "vertices": list(st.vertices),
-                    "lambda1": st.lambda1,
-                }
-            )
-            for st in trace
-        ]
+        lines = [json.dumps(vars(st)) for st in trace]
         lines.append(json.dumps({"final": final_rec}))
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["step,kind,vertices,lambda1"]
-        lines += [
-            f"{st.step},{st.kind},{' '.join(str(v) for v in st.vertices)},{st.lambda1!r}"
-            for st in trace
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [
             f"step {st.step}: {st.kind} {st.vertices} lambda1={st.lambda1!r}"
@@ -341,11 +284,10 @@ def _cmd_climb(args) -> int:
             f"final lambda1={final_rec['final_lambda1']!r} after {len(trace)} steps "
             f"(prufer {final_rec['final_prufer'] or 'empty'})"
         )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, str]:
     classes = enumerate_tree_classes(args.n, args.method, args.k)
     rows = [
         {
@@ -356,14 +298,12 @@ def _cmd_enumerate(args) -> int:
         for code, t in classes.items()
     ]
     if args.format == "json":
-        _emit(
-            json.dumps({"n": args.n, "count": len(rows), "classes": rows}) + "\n",
-            args.out,
-        )
-    elif args.format == "csv":
+        payload = {"n": args.n, "count": len(rows), "classes": rows}
+        return 0, json.dumps(payload) + "\n"
+    if args.format == "csv":
+        # quoted by hand: csv.writer leaves the 0- and 1-symbol codes (n <= 3) bare
         lines = ["canonical_code,prufer,leaf_count"]
         lines += [f"{r['canonical_code']},\"{r['prufer']}\",{r['leaf_count']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [
             f"{r['canonical_code']} prufer={r['prufer'] or '(empty)'} "
@@ -371,19 +311,12 @@ def _cmd_enumerate(args) -> int:
             for r in rows
         ]
         lines.append(f"{len(rows)} classes")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "balance": _cmd_balance,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "chain": _cmd_chain,
-    "climb": _cmd_climb,
-    "enumerate": _cmd_enumerate,
-}
+# Built once: each parser holds reference cycles that only the cyclic
+# collector frees, so one per call piles up garbage across in-process calls.
+_PARSER = _build_parser()
 
 
 def run(argv=None) -> int:
@@ -393,7 +326,12 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.cmd](args)
+        code, text = args.handler(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (SignedKnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,11 +174,10 @@ def build_broom(n: int, k: int) -> Tree:
 
     build_broom(n, 2) is a path and build_broom(n, n-1) is a star; for
     3 <= k <= n-2 the hub is the unique vertex of maximum degree k.
+    build_broom(2, 2) is the one edge.
     """
-    if not 2 <= k <= n - 1:
-        raise DomainError(f"broom needs 2 <= k <= n-1, got (n={n}, k={k})")
-    edges = [(0, v) for v in range(1, k)]
-    edges.append((0, k))
+    _check_leaf_count(n, k)
+    edges = [(0, v) for v in range(1, min(k + 1, n))]
     edges += [(v, v + 1) for v in range(k, n - 1)]
     return Tree(n, frozenset(edges))
 
@@ -192,8 +191,9 @@ def random_tree(n: int, rng: random.Random) -> Tree:
 
 
 def _check_leaf_count(n: int, k: int) -> None:
-    """Reject a leaf count no tree on n vertices can have."""
-    if not 2 <= k <= n - 1:
+    """Reject a leaf count no tree on n vertices can have: a tree has
+    2 <= k <= n-1 leaves, except the one edge (n = 2), which has 2."""
+    if not (2 <= k <= n - 1 or k == n == 2):
         raise DomainError(f"need 2 <= k <= n-1, got (n={n}, k={k})")
 
 
@@ -312,15 +312,20 @@ def parse_edge_list(text: str) -> Tree:
         n = int(lines[0])
     except ValueError:
         raise MalformedInputError(f"first line must be the vertex count, got {lines[0]!r}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise MalformedInputError(f"expected 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedInputError(f"non-integer endpoint in {ln!r}")
+        # a Tree keeps an edge set, so a second copy would vanish silently
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise MalformedInputError(f"repeated edge {edge} in {ln!r}")
+        edges.add(edge)
     try:
         return Tree(n, frozenset(edges))
     except (DomainError, InvariantViolationError) as exc:

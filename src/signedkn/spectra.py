@@ -202,11 +202,6 @@ def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
     return eigen_decompose(adjacency_matrix(g))
 
 
-def index(g: SignedCompleteGraph) -> float:
-    """λ1, the largest adjacency eigenvalue."""
-    return spectrum_of(g).lambda1
-
-
 def _leaves_first(t: Tree) -> list[int]:
     """Parent position of each vertex of t, the vertices numbered by their
     position in the breadth-first order from vertex 0 (-1 for the root).

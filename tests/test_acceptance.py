@@ -25,7 +25,6 @@ from signedkn import (
     eigen_decompose,
     enumerate_tree_classes,
     hill_climb,
-    index,
     is_balanced,
     prufer_decode,
     random_tree_with_leaf_count,
@@ -196,7 +195,7 @@ def test_criterion_06_rotation_monotonicity():
         if not report.satisfied:
             continue
         satisfied += 1
-        delta = index(apply_rotation(g, move)) - top.value
+        delta = spectrum_of(apply_rotation(g, move)).lambda1 - top.value
         worst_drop = min(worst_drop, delta)
         if report.strict and not top.degenerate and top.gap > 1e-6:
             strict_qualifying += 1
@@ -304,7 +303,7 @@ def test_criterion_10_unbalanced_index_and_audits(classes_of, verified_range):
                 balance_as_expected = balance_as_expected and is_balanced(g)
                 continue
             balance_as_expected = balance_as_expected and not is_balanced(g)
-            worst = min(worst, index(g))
+            worst = min(worst, spectrum_of(g).lambda1)
     audits_ok = True
     for (n, k), r in sorted(_fill_verified(verified_range).items()):
         arg = next(c for c in r.classes if c.is_argmax)

@@ -46,6 +46,16 @@ def test_spectrum_from_edge_file(tmp_path, capsys):
     assert doc["n"] == 4
 
 
+@pytest.mark.parametrize("second", ["1 0", "0 1"])
+def test_spectrum_rejects_a_repeated_edge(tmp_path, capsys, second):
+    p = tmp_path / "tree.txt"
+    p.write_text(f"3\n0 1\n{second}\n1 2\n")
+    assert run(["spectrum", "--edges", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: repeated edge (0, 1) in '{second}'\n"
+
+
 def test_spectrum_out_file(tmp_path, capsys):
     dest = tmp_path / "spectrum.json"
     rc = run(["spectrum", "--prufer", "0,0", "--out", str(dest)])
@@ -300,6 +310,23 @@ def test_enumerate_impossible_k(capsys):
     assert captured.err == "error: need 2 <= k <= n-1, got (n=8, k=9)\n"
 
 
+def test_the_one_edge_has_two_leaves(capsys):
+    # enumerate --n 2 lists one class with leaf_count 2, so --k 2 finds it
+    assert run(["enumerate", "--n", "2"]) == 0
+    (one_edge,) = json.loads(capsys.readouterr().out)["classes"]
+    assert one_edge["leaf_count"] == 2
+    for method in ("generate", "prufer"):
+        assert run(["enumerate", "--n", "2", "--k", "2", "--method", method]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"] == [one_edge]
+    assert run(["verify", "--n", "2", "--k", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["matches_broom"] and doc["argmax_code"] == one_edge["canonical_code"]
+    assert run(["climb", "--n", "2", "--k", "2", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["final"]["steps"] == 0
+    assert run(["enumerate", "--n", "2", "--k", "3"]) == 1
+    assert capsys.readouterr().err == "error: need 2 <= k <= n-1, got (n=2, k=3)\n"
+
+
 def test_enumerate_prufer_method_agrees(capsys):
     # same classes in the same order, with or without --k; representatives
     # may be labeled differently per method, so compare codes rather than
@@ -330,6 +357,104 @@ def test_enumerate_csv(capsys):
     rows = lines_of(capsys)
     assert rows[0] == "canonical_code,prufer,leaf_count"
     assert len(rows) == 4
+
+
+# sha256 of stdout for each call and format, recorded while every handler
+# still wrote its own output: handlers that return their text to one writer
+# in `run` must not move a byte.
+STDOUT_SHA256 = {
+    ("verify", "--n", "8", "--k", "4"): {
+        "json": "85b21e54c0de709885f9430b936256aeb91e1a286ed76dfdfbffa7ea277275cb",
+        "csv": "e0dc2d1368daee415cc445b1c9396cbaaabba7be62786797fa6656ddad2087d8",
+        "text": "bd72683b4de90c351c4dfd8e86ef243abc73e2f05facd82087deca19cbebb32a",
+    },
+    ("verify", "--n", "3", "--k", "2"): {
+        "json": "bc8db0d2e86bda9a32c9fe4853a41af1e132b645df260bfc36949362c1258912",
+        "csv": "199f7d80b0ef61ba186ac13a0f6d18dd32d070e4e1f956743969812457b25805",
+        "text": "002d1797af7ccb0da6e8d2671f15c2b0a7df315e8834e6821f010290dc585ef7",
+    },
+    ("sweep", "--n-min", "6", "--n-max", "9"): {
+        "json": "c1c36cf0eb45f0a1ae8155bc349b41cda1a865d62ad0a9c8520a4f4fdedd69a0",
+        "csv": "a6aea484a0ce9eec2a93fbe9a8165d41597082c828b41083eadc254d82df90a1",
+        "text": "e4685897fd7972d287ef27363355914b42a91fe6b8531f28aed41bf59a9829da",
+    },
+    ("sweep", "--n-min", "3", "--n-max", "5"): {
+        "json": "1bfd84fb162d089fdbe5e0fe84ae2c5874e1d4b6d047c906be466ac1d9215f3e",
+        "csv": "e03f6b3d0a516d92cdd5e567df7f3515ac9556316f71d730c2be6633b2a120de",
+        "text": "f2f834a87a63c0f21407f29ac58a38b86a8a7070d1dfc2d5f2aae949567c6d55",
+    },
+    ("sweep", "--n-min", "5", "--n-max", "8", "--all-k"): {
+        "json": "77c6924d17366920ea64568baa7722d3562ac38e391e1b39a52ede3ad1e8e4bf",
+        "csv": "026f26eff7fecff9d80daa9eb32d9a1ea379a40b55fedcd6f6822617efdd45b1",
+        "text": "d2b51782502ad062b71e2af7f5208388fb2cc1408c7e47454ad9b120ce61ab9c",
+    },
+    ("chain", "--n", "9"): {
+        "json": "213201d3b4dbbcfd7a07f323604d0adfe4ba77e10ed1284c77067be29acb50c7",
+        "csv": "d0b119427a457bd9893571b0f5fd5227bef60bb5248b1aff843af1c8f8b1490f",
+        "text": "57768c0a36704a95afe53c406ce284842ace76a572db57fda238d8c8ceb8831e",
+    },
+    ("enumerate", "--n", "2"): {
+        "json": "46713f5194e01579b4fbb6c35c7f770744df985d564e0332ae166e820df32f0d",
+        "csv": "e70f9dc52d49aac3398dc6eb14e11b397e1cec20c81af2591416360f3700d1f5",
+        "text": "68c2791ccfe2af2986ee03b2394d51211111a13bc96205d663952cdd31b045c5",
+    },
+    ("enumerate", "--n", "3"): {
+        "json": "232c534db1385d1928690395bbd34b070b11b0d4758f51f84fa59d20068bfdf0",
+        "csv": "a61715f5e6d2e67ab07e62357be08d0704faffa070ad82b1062a32c3f4c0d453",
+        "text": "b5b60057f80d2bd5127043ea0ce5a26fa3e279778143466f0d50bb3ee56e65e1",
+    },
+    ("enumerate", "--n", "7", "--k", "3"): {
+        "json": "7859951029479b42b09d833a507fa11c66f32ce97eb94c8fa17efe8486dff585",
+        "csv": "d0224530b20ada9e0465e78d2cdbd29c29554faf8577854062ddd117b7342a23",
+        "text": "d74d92a5491d816c5dea4f3ec6a0e5c3c6b9053f2d19ae88b0c822acef402686",
+    },
+    ("enumerate", "--n", "6", "--method", "prufer"): {
+        "json": "ec8523398ce01061edf162d95eb94443e0be9159bae0bc9c4385f5117fa13be4",
+        "csv": "4995d87540150e4df9db1892ab2deaef3a6e44fa9fa9b0222c580ecbd138562f",
+        "text": "202076c82474433fb6ddffc6327e74bab8edbd349129ca6d3f56d701214446f4",
+    },
+    ("spectrum", "--prufer", "1,2"): {
+        "json": "1b08125958a061f200274139eb2985958b0b84894f00a440a461b6ee61f4fcaa",
+        "text": "4c9d5da5adf9d26a145228f7074af6390bcf6d310d524f6c469d79be63397660",
+    },
+    ("spectrum", "--prufer", ""): {
+        "json": "f80dff778fd77d51817cffe4e1dbb28740e378d80c3754ee4e901706a59b63aa",
+        "text": "94a1d169725a3d9364e26300776c3ce2fbaba5aa736dfd403726c9a47b8c0a13",
+    },
+    ("balance", "--prufer", "1,2"): {
+        "json": "1892e98368f7f141fc29b6b6e2b39e9d639f42f947b4cf985e7e0a6821ff88e7",
+        "text": "4238f3868abbccef31aeabfcef8d3134489a763366cd2ae55e69a6f5a77d0d01",
+    },
+    ("balance", "--prufer", ""): {
+        "json": "a9080627fbb722e9fa1a7bc92ce2839f5d767523381f72bc02b1c280878ba0e1",
+        "text": "fc1188af6b56cba0d3bdc92c02a16f7871dd199b388bf160f6aecab5f5e07314",
+    },
+}
+
+
+def _call_id(call):
+    return " ".join(call) if isinstance(call, tuple) else call
+
+
+@pytest.mark.parametrize(
+    "call, fmt",
+    [(call, fmt) for call, digests in STDOUT_SHA256.items() for fmt in digests],
+    ids=_call_id,
+)
+def test_stdout_golden(capsys, call, fmt):
+    assert run([*call, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[call][fmt]
+
+
+@pytest.mark.parametrize("call", list(STDOUT_SHA256), ids=_call_id)
+def test_out_file_gets_what_stdout_gets(tmp_path, capsys, call):
+    dest = tmp_path / "out.txt"
+    assert run(list(call)) == 0
+    shown = capsys.readouterr().out
+    assert run([*call, "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_text() == shown
 
 
 # ------------------------------------------------------------- errors

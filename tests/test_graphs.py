@@ -222,6 +222,15 @@ def test_random_tree_with_leaf_count_hits_target():
             assert leaf_count(random_tree_with_leaf_count(n, k, rng)) == k
 
 
+def test_the_one_edge_tree_has_two_leaves():
+    assert build_broom(2, 2) == Tree(2, frozenset({(0, 1)}))
+    assert leaf_count(build_broom(2, 2)) == 2
+    assert random_tree_with_leaf_count(2, 2, random.Random(0)) == build_broom(2, 2)
+    for k in (1, 3):
+        with pytest.raises(DomainError):
+            build_broom(2, k)
+
+
 def test_random_tree_with_leaf_count_validation():
     with pytest.raises(DomainError):
         random_tree_with_leaf_count(5, 1, random.Random(0))
@@ -258,6 +267,14 @@ def test_edge_list_accepts_blank_lines():
 def test_edge_list_malformed(text):
     with pytest.raises(MalformedInputError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("second", ["1 0", "0 1"])
+def test_edge_list_rejects_a_repeated_edge(second):
+    # a Tree keeps an edge set, so without the check "3 / 0 1 / 1 0 / 1 2"
+    # would parse as the path 0-1-2
+    with pytest.raises(MalformedInputError, match=r"repeated edge \(0, 1\)"):
+        parse_edge_list(f"3\n0 1\n{second}\n1 2\n")
 
 
 def test_prufer_text_roundtrip():

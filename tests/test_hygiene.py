@@ -9,7 +9,8 @@ Dead helpers: every module-level `_`-prefixed function in the package must
 be referenced, as a name or an attribute, somewhere in the package.
 
 Doc drift: every name README's entry-point list gives for a module must
-exist in that module.
+exist in that module, and every `$ signedkn …` example in README's fenced
+blocks must show what the command prints.
 
 One output owner: among the package modules only `cli.py` may import
 `json`, `csv` or `io`; the library returns data and the CLI formats it.
@@ -18,9 +19,12 @@ One output owner: among the package modules only `cli.py` may import
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from signedkn.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -172,3 +176,61 @@ def test_readme_entry_points_exist():
         mod = importlib.import_module(f"signedkn.{module}")
         assert names, module
         assert [n for n in names if not hasattr(mod, n)] == [], module
+
+
+def readme_examples(text: str) -> list[tuple[list[str], list[str], bool]]:
+    """(argv, shown lines, cut) for each `$ signedkn …` line in README's
+    fenced blocks.  The shown lines run to the next blank, `$` or fence
+    line; a `...` line, indented or not, ends them early and sets cut."""
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", text, flags=re.M | re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ signedkn "):
+                continue
+            shown, cut = [], False
+            for out in lines[i + 1 :]:
+                if not out or out.startswith("$ "):
+                    break
+                if out.strip() == "...":
+                    cut = True
+                    break
+                shown.append(out)
+            examples.append((shlex.split(line)[2:], shown, cut))
+    return examples
+
+
+README_EXAMPLES = readme_examples((ROOT / "README.md").read_text())
+
+
+def test_readme_has_cli_examples():
+    assert len(README_EXAMPLES) >= 5
+    assert all(shown for _, shown, _ in README_EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "argv, shown, cut", README_EXAMPLES, ids=[" ".join(a) for a, _, _ in README_EXAMPLES]
+)
+def test_readme_example_shows_what_the_cli_prints(capsys, argv, shown, cut):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if shown[0].startswith("{"):
+        # JSON wrapped to fit the page: its lines join without separators
+        got, want = out.replace("\n", ""), "".join(shown)
+    else:
+        got, want = out, "".join(line + "\n" for line in shown)
+    if cut:
+        got = got[: len(want)]
+    assert got == want
+
+
+def test_readme_examples_parse_cuts_and_wrapped_json():
+    text = (
+        "```\n$ signedkn verify --n 6 --k 3 --format text\nfirst\n  ...\nlast\n"
+        "\n$ signedkn spectrum --prufer ''\n{\"a\": 1,\n \"b\": 2}\n```\n"
+        "```\npip install -e .\n```\n"
+    )
+    assert readme_examples(text) == [
+        (["verify", "--n", "6", "--k", "3", "--format", "text"], ["first"], True),
+        (["spectrum", "--prufer", ""], ['{"a": 1,', ' "b": 2}'], False),
+    ]

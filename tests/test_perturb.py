@@ -28,11 +28,11 @@ from signedkn import (
     check_precondition,
     enumerate_tree_classes,
     hill_climb,
-    index,
     leaf_count,
     prufer_decode,
     random_tree_with_leaf_count,
     signed_complete_from_tree,
+    spectrum_of,
     top_eigenvector,
     tree_index,
 )
@@ -282,7 +282,7 @@ def test_satisfied_move_never_lowers_lambda1():
         top = top_eigenvector(g)
         report = check_precondition(g, move, top.vector)
         before = top.value
-        after = index(apply_rotation(g, move))
+        after = spectrum_of(apply_rotation(g, move)).lambda1
         if report.satisfied:
             satisfied_seen += 1
             assert after - before >= -1e-10
@@ -359,12 +359,12 @@ def test_climb_trace_replay():
         start = random_tree_with_leaf_count(n, k, rnd)
         final, trace = hill_climb(start)
         g = signed_complete_from_tree(start)
-        lam = index(g)
+        lam = spectrum_of(g).lambda1
         for step in trace:
             g = apply_rotation(g, RotationMove(step.kind, step.vertices))
             t = Tree(n, g.negative_edges)  # must still be a spanning tree
             assert leaf_count(t) == k
-            new_lam = index(g)
+            new_lam = spectrum_of(g).lambda1
             assert new_lam > lam + IMPROVE_TOL
             assert abs(new_lam - step.lambda1) <= 1e-12
             lam = new_lam
@@ -376,13 +376,13 @@ def test_climb_reaches_global_max_n6():
     rnd = random.Random(10)
     for k in range(2, 6):
         best = max(
-            index(signed_complete_from_tree(t))
+            spectrum_of(signed_complete_from_tree(t)).lambda1
             for t in enumerate_tree_classes(6, k=k).values()
         )
         for _ in range(5):
             start = random_tree_with_leaf_count(6, k, rnd)
             final, _ = hill_climb(start)
-            assert abs(index(signed_complete_from_tree(final)) - best) <= 1e-8
+            assert abs(spectrum_of(signed_complete_from_tree(final)).lambda1 - best) <= 1e-8
 
 
 def test_climb_max_steps_zero():

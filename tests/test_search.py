@@ -197,6 +197,16 @@ def test_both_methods_give_the_same_leaf_classes_in_order():
             assert all(leaf_count(t) == k for t in by_prufer.values())
 
 
+def test_both_methods_give_the_one_edge_at_two_leaves():
+    by_generation = enumerate_tree_classes(2, k=2)
+    assert list(by_generation) == [canonical_code(build_broom(2, 2))]
+    assert list(enumerate_tree_classes(2, "prufer", 2)) == list(by_generation)
+    for method in ("generate", "prufer"):
+        for k in (1, 3):
+            with pytest.raises(DomainError, match="need 2 <= k"):
+                enumerate_tree_classes(2, method, k)
+
+
 # ------------------------------------------------------------ verification
 
 

@@ -28,7 +28,6 @@ from signedkn import (
     eigen_decompose,
     enumerate_tree_classes,
     format_prufer,
-    index,
     prufer_decode,
     prufer_encode,
     residual,
@@ -120,13 +119,13 @@ def test_path4_spectrum_golden():
 
 def test_path6_index_golden():
     g = signed_complete_from_tree(build_path(6))
-    assert abs(index(g) - 2.6038754716096766) <= 1e-9
+    assert abs(spectrum_of(g).lambda1 - 2.6038754716096766) <= 1e-9
 
 
 def test_index_least_radius_star():
     g = signed_complete_from_tree(build_star(6))
     s = spectrum_of(g)
-    assert abs(index(g) - 5.0) <= 1e-9
+    assert abs(s.lambda1 - 5.0) <= 1e-9
     assert abs(s.lambdan + 1.0) <= 1e-9
     assert abs(s.radius - 5.0) <= 1e-9
 
