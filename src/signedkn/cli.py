@@ -50,9 +50,16 @@ class _UsageError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    """argparse ended the call itself (--help); args[0] is the exit status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # only error() passes a message
+        raise _ParserExit(status)
 
 
 def _add_tree_input(p: _Parser) -> None:
@@ -325,6 +332,8 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _ParserExit as exc:
+        return exc.args[0]
     try:
         code, text = args.handler(args)
         if args.out:

@@ -26,7 +26,6 @@ from .graphs import SignedCompleteGraph, Tree, _bfs_order, canonical_code, leaf_
 # Nothing here calls eigen_decompose; perfbench's restore test checks this binding
 # (test_traced_run_reports_every_layer_metric_and_restores_the_package).
 from .spectra import (  # noqa: F401
-    JACOBI_REL_TOL,
     adjacency_matrix,
     eigen_decompose,
     tree_eigs_above,
@@ -227,18 +226,6 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
         yield move, Tree(n, (t.edges - {move.negative_edge}) | {move.positive_edge})
 
 
-def _count_verdict(t: Tree, thr: float, band: float) -> bool | None:
-    """Whether λ1 of t is above thr, decided by exact eigenvalue counts
-    at thr - band and thr + band, or None when λ1 may lie inside the band
-    (or a count met a zero pivot)."""
-    if tree_eigs_above(t, thr - band) == 0:
-        return False
-    above = tree_eigs_above(t, thr + band)
-    if above is not None and above >= 1:
-        return True
-    return None
-
-
 def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]]:
     """First-improvement local search maximizing λ1 of (K_n, T-).
 
@@ -247,50 +234,45 @@ def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]
     soon as the recomputed λ1 rises by more than IMPROVE_TOL.  Stops at a
     local maximum or after max_steps accepted moves.
 
-    A candidate is decided by tree_eigs_above, without an eigensolve,
-    against thr = λ + IMPROVE_TOL and a band of 2 JACOBI_REL_TOL ‖A‖_F,
-    where ‖A‖_F = sqrt(n(n-1)).  The solver stops once its off-diagonal
-    norm is at most JACOBI_REL_TOL ‖A‖_F, which by Weyl's inequality bounds
-    the error of its λ1, so no eigenvalue above thr - band means the solve
-    would reject and one above thr + band means it would accept.  Only the
-    start and the accepted moves are solved (their λ1 goes in the trace),
-    and a candidate inside the band is solved and compared as before.
+    A candidate is accepted iff one exact count, tree_eigs_above, finds an
+    eigenvalue above thr = λ + IMPROVE_TOL; an integer thr is moved to the
+    next float up, as a count meets a zero pivot only at an integer.  Only
+    the start and the accepted moves are solved; their λ1 goes in the
+    trace.  A zero pivot, or a solve that contradicts its count, raises
+    InvariantViolationError.
 
     Each tree class (canonical code) is decided at most once per climb,
-    and the climb is the one a scan solving every candidate would make.
-    λ1 only rises along a climb, and a class the counts rejected has λ1 at
-    most thr - band, so the solve of any of its labellings falls below
-    this and every later threshold.  (Only a class solved inside the band
-    could sit within a few ulp of the threshold, where another labelling
-    might land on the other side.)  An accepted candidate is always a
-    class not seen before, solved on its own labelling, so the λ1 bits in
-    the trace are unchanged.
+    and the climb is the one a scan solving every candidate would make: a
+    rejected class has λ1 at most thr exactly, counts do not depend on the
+    labelling, and thr only rises.  An accepted candidate is always a new
+    class, solved on its own labelling, so the trace's λ1 bits are
+    unchanged.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     current = start
     lam = tree_index(current)
-    band = 2 * JACOBI_REL_TOL * math.sqrt(start.n * (start.n - 1))
     seen = {canonical_code(current)}
     trace: list[ClimbStep] = []
     while len(trace) < max_steps:
         thr = lam + IMPROVE_TOL
+        if thr.is_integer():
+            thr = math.nextafter(thr, math.inf)
         for move, new_tree in _candidate_moves(current):
             code = canonical_code(new_tree)
             if code in seen:
                 continue
             seen.add(code)
-            verdict = _count_verdict(new_tree, thr, band)
-            if verdict is False:
+            above = tree_eigs_above(new_tree, thr)
+            if above is None:
+                raise InvariantViolationError(f"count met a zero pivot at {thr!r}")
+            if not above:
                 continue
             new_lam = tree_index(new_tree)
             if not new_lam > thr:
-                if verdict:
-                    raise InvariantViolationError(
-                        f"eigenvalue count puts λ1 above {thr!r} + {band:.1e}, "
-                        f"but the solve gives {new_lam!r}"
-                    )
-                continue
+                raise InvariantViolationError(
+                    f"count puts λ1 above {thr!r}, but the solve gives {new_lam!r}"
+                )
             current = new_tree
             lam = new_lam
             trace.append(

@@ -300,6 +300,9 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     has as many eigenvalues above x as M has positive pivots.  M is
     eliminated leaves first, in the order of _leaves_first, and the border
     last: no step fills in, so each pivot costs O(1).
+
+    A zero pivot needs an integer x: it makes -1-x an eigenvalue of 2B on a
+    subtree, or x one of A, and a rational algebraic integer is an integer.
     """
     try:
         x = Fraction(x)

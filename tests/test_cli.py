@@ -469,6 +469,13 @@ def test_missing_required_argument(capsys):
     assert run(["verify", "--n", "6"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_returns_zero(capsys, argv):
+    # argparse ends a --help call itself; run returns its status, not SystemExit
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: signedkn")
+
+
 def test_conflicting_tree_inputs(capsys):
     assert run(["spectrum", "--prufer", "1,2", "--edges", "x.txt"]) == 1
 

@@ -14,6 +14,9 @@ blocks must show what the command prints.
 
 One output owner: among the package modules only `cli.py` may import
 `json`, `csv` or `io`; the library returns data and the CLI formats it.
+
+One solver owner: among the package modules only `spectra.py` may name
+`JACOBI_REL_TOL`, so the solver's stopping rule stays behind one module.
 """
 
 import ast
@@ -122,6 +125,43 @@ def test_guard_flags_every_spelling_of_a_format_import():
     assert format_imports(src) == [
         ("json", 1), ("io", 2), ("csv", 3), ("json.decoder", 4), ("csv", 8)
     ]
+
+
+def solver_tolerance_uses(source: str) -> list[int]:
+    """Lines that name JACOBI_REL_TOL: as a name, an attribute or an import."""
+    name = "JACOBI_REL_TOL"
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(ROOT.glob("src/signedkn/*.py")) if p.name != "spectra.py"],
+    ids=lambda p: p.name,
+)
+def test_only_spectra_names_the_solver_tolerance(path):
+    assert solver_tolerance_uses(path.read_text()) == []
+
+
+def test_guard_flags_every_use_of_the_solver_tolerance():
+    src = (
+        "import math\n"
+        "from .spectra import (\n"
+        "    JACOBI_REL_TOL,\n"
+        "    tree_index,\n"
+        ")\n"
+        "from . import spectra\n"
+        "band = 2 * JACOBI_REL_TOL * math.sqrt(12)\n"
+        "tol = spectra.JACOBI_REL_TOL\n"
+        "JACOBI_REL_TOLERANCE = 1.0\n"
+        "from .spectra import tree_index as JACOBI_REL_TOL\n"
+    )
+    assert solver_tolerance_uses(src) == [3, 7, 8, 10]
 
 
 def dead_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:

@@ -34,12 +34,12 @@ from signedkn import (
     signed_complete_from_tree,
     spectrum_of,
     top_eigenvector,
+    tree_eigs_above,
     tree_index,
 )
 from signedkn import perturb, spectra
 from signedkn.cli import run
 from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
-from signedkn.spectra import JACOBI_REL_TOL
 
 
 def random_tree(n, rnd):
@@ -438,13 +438,6 @@ def test_climb_matches_full_scan_reference(full_scan_references):
         assert hill_climb(start) == reference
 
 
-def test_climb_without_counts_matches_full_scan_reference(monkeypatch, full_scan_references):
-    # every count meets a zero pivot, so every candidate is solved
-    monkeypatch.setattr(perturb, "tree_eigs_above", lambda t, x: None)
-    for start, reference in full_scan_references:
-        assert hill_climb(start) == reference
-
-
 def test_climb_solves_each_class_once(monkeypatch):
     solved = []
 
@@ -460,22 +453,39 @@ def test_climb_solves_each_class_once(monkeypatch):
         assert len(set(solved)) == len(solved)
 
 
-def test_count_verdict_leaves_the_band_to_the_solve():
-    t = build_double_star(5, 5)  # λ1 is exactly 9
-    band = 2 * JACOBI_REL_TOL * math.sqrt(t.n * (t.n - 1))
-    assert perturb._count_verdict(t, 9.0, band) is None
-    assert perturb._count_verdict(t, 9.0 - 0.5 * band, band) is None
-    assert perturb._count_verdict(t, 9.0 + 0.5 * band, band) is None
-    assert perturb._count_verdict(t, 9.0 - 3 * band, band) is True
-    assert perturb._count_verdict(t, 9.0 + 3 * band, band) is False
-
-
 def test_climb_rejects_a_count_the_solve_contradicts(monkeypatch):
     # counts that put every candidate above the threshold make the climb
     # accept a move whose solved λ1 does not rise
     monkeypatch.setattr(perturb, "tree_eigs_above", lambda t, x: 1)
     with pytest.raises(InvariantViolationError):
         hill_climb(build_broom(8, 4))
+
+
+def test_climb_raises_on_a_zero_pivot_count(monkeypatch):
+    # the threshold is never an integer, so a zero pivot there is impossible
+    monkeypatch.setattr(perturb, "tree_eigs_above", lambda t, x: None)
+    with pytest.raises(InvariantViolationError):
+        hill_climb(build_broom(8, 4))
+
+
+def test_climb_moves_an_integer_threshold_to_the_next_float(monkeypatch):
+    # thr = (9 - IMPROVE_TOL) + IMPROVE_TOL rounds to 9.0, where a count on
+    # S(5, 5), one of the candidates of S(4, 6), meets a zero pivot
+    start = build_double_star(4, 6)
+    xs = []
+
+    def recording_count(t, x):
+        xs.append(x)
+        return tree_eigs_above(t, x)
+
+    monkeypatch.setattr(
+        perturb, "tree_index", lambda t: 9.0 - IMPROVE_TOL if t == start else tree_index(t)
+    )
+    monkeypatch.setattr(perturb, "tree_eigs_above", recording_count)
+    hill_climb(start, max_steps=1)
+    assert set(xs) == {math.nextafter(9.0, math.inf)}
+    assert tree_eigs_above(build_double_star(5, 5), 9.0) is None
+    assert tree_eigs_above(build_double_star(5, 5), xs[0]) == 0
 
 
 def test_climb_deterministic():

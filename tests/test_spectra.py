@@ -396,6 +396,26 @@ def test_tree_eigs_above_exact_at_an_integer_index():
     assert tree_eigs_above(t, 9 + 2.0**-40) == 0
 
 
+def test_tree_eigs_above_meets_a_zero_pivot_only_at_an_integer():
+    # the fact hill_climb's integer nudge rests on, tried where a zero pivot
+    # would be likeliest: 1 and 2 ulp from every eigenvalue LAPACK reports.
+    # Some of those floats are integer eigenvalues, such as -1, where a None
+    # is allowed.
+    floats = integers = 0
+    for n in range(2, 10):
+        for t in enumerate_tree_classes(n).values():
+            ev = numpy_eigenvalues(adjacency_matrix(signed_complete_from_tree(t)).entries)
+            for e in ev:
+                for k in (-2, -1, 1, 2):
+                    x = float(ulps_away(float(e), k))
+                    if x.is_integer():
+                        integers += 1
+                    else:
+                        assert isinstance(tree_eigs_above(t, x), int), (n, x)
+                        floats += 1
+    assert floats > 2500 and integers > 0
+
+
 def test_tree_eigs_above_needs_finite_x():
     with pytest.raises(DomainError):
         tree_eigs_above(build_path(4), math.inf)
