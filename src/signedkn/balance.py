@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .graphs import SignedCompleteGraph
+from .graphs import SignedCompleteGraph, _vertex
 
 
 def cycle_sign(g: SignedCompleteGraph, cycle: Sequence[int]) -> int:
     """Product of edge signs along a closed cycle of distinct vertices."""
-    verts = [int(v) for v in cycle]
+    verts = [_vertex(v, DomainError) for v in cycle]
     if len(verts) < 3:
         raise DomainError(f"cycle needs at least 3 vertices, got {len(verts)}")
     if len(set(verts)) != len(verts):
@@ -67,7 +67,7 @@ def find_negative_triangle(g: SignedCompleteGraph) -> tuple[int, int, int] | Non
 def switch(g: SignedCompleteGraph, vertices: Iterable[int]) -> SignedCompleteGraph:
     """Flip the sign of every edge with exactly one endpoint in the given
     vertex set (repeats are ignored)."""
-    inside = frozenset(int(v) for v in vertices)
+    inside = frozenset(_vertex(v, DomainError) for v in vertices)
     for v in inside:
         if not 0 <= v < g.n:
             raise DomainError(f"switch vertex {v} out of range for n={g.n}")

@@ -8,6 +8,7 @@ Vertices are always the contiguous integers 0..n-1 and edges are stored as
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,10 +16,18 @@ from typing import Sequence
 from .errors import DomainError, InvariantViolationError, MalformedInputError
 
 
+def _vertex(v, error: type[Exception] = InvariantViolationError) -> int:
+    """v as an int: any integer type, numpy's too, but not a float or a
+    string, which int() would truncate or parse; else raise error."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise error(f"vertex label must be an integer, got {v!r}") from None
+
+
 def _norm_edge(e) -> tuple[int, int]:
     u, v = e
-    u = int(u)
-    v = int(v)
+    u, v = _vertex(u), _vertex(v)
     if u == v:
         raise InvariantViolationError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
@@ -30,8 +39,9 @@ class Tree:
 
     Construction validates the full invariant set: exactly n-1 edges, all
     endpoints in range, connected (which together with the edge count
-    implies acyclic).  The neighbour lists built for that check are kept
-    for adjacency(), outside the fields that eq, hash and repr see.
+    implies acyclic).  What that check builds is kept outside the fields
+    that eq, hash and repr see: the neighbour lists as _adj, for
+    adjacency(), and the _bfs_order walk from 0 as _walk = (order, parent).
     """
 
     n: int
@@ -56,10 +66,11 @@ class Tree:
                 f"got {len(edges)}"
             )
         adj = tuple(tuple(sorted(nb)) for nb in nbs)
-        order, _ = _bfs_order(adj, 0)
+        order, parent = _bfs_order(adj, 0)
         if len(order) != self.n:
             raise InvariantViolationError("edge set is not connected")
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_walk", (order, parent))
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbours of each vertex, sorted ascending: adjacency()[v] is
@@ -89,7 +100,7 @@ class PruferSequence:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise DomainError(f"Prufer sequence needs n >= 2, got {self.n!r}")
-        symbols = tuple(int(s) for s in self.symbols)
+        symbols = tuple(_vertex(s, MalformedInputError) for s in self.symbols)
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) != self.n - 2:
             raise MalformedInputError(
@@ -230,20 +241,17 @@ def _centroids(t: Tree) -> list[int]:
     their removal (subtree-size centroid, not the path center)."""
     n = t.n
     adj = t.adjacency()
-    order, parent = _bfs_order(adj, 0)
+    order, parent = t._walk
     size = [1] * n
     for v in reversed(order):
         if parent[v] >= 0:
             size[parent[v]] += size[v]
     out = []
     for v in range(n):
-        biggest = n - size[v]
-        for w in adj[v]:
-            if parent[w] == v:
-                biggest = max(biggest, size[w])
+        biggest = max([n - size[v]] + [size[w] for w in adj[v] if parent[w] == v])
         if biggest <= n // 2:
             out.append(v)
-    return sorted(out)
+    return out
 
 
 def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:

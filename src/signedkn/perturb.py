@@ -22,15 +22,11 @@ from .errors import (
     PreconditionError,
     StaleEigenvectorError,
 )
-from .graphs import SignedCompleteGraph, Tree, _bfs_order, canonical_code, leaf_count
+from .graphs import SignedCompleteGraph, Tree, _bfs_order, _vertex, canonical_code
+from .spectra import adjacency_matrix, residual, tree_eigs_above, tree_index
 # Nothing here calls eigen_decompose; perfbench's restore test checks this binding
 # (test_traced_run_reports_every_layer_metric_and_restores_the_package).
-from .spectra import (  # noqa: F401
-    adjacency_matrix,
-    eigen_decompose,
-    tree_eigs_above,
-    tree_index,
-)
+from .spectra import eigen_decompose  # noqa: F401
 
 KINDS = ("type_i", "type_ii")
 
@@ -59,7 +55,7 @@ class RotationMove:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown rotation kind {self.kind!r}")
-        verts = tuple(int(v) for v in self.vertices)
+        verts = tuple(_vertex(v, DomainError) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         want = 3 if self.kind == "type_i" else 4
         if len(verts) != want:
@@ -148,22 +144,21 @@ def check_precondition(
     """Evaluate the move's eigenvector-entry precondition.
 
     x must be a λ1-eigenvector of g: it is unit-normalized and rejected
-    with a stale-eigenvector error when its Rayleigh residual exceeds
-    RESIDUAL_TOL.
+    with a stale-eigenvector error unless its norm is finite and nonzero
+    and its Rayleigh residual is at most RESIDUAL_TOL.
     """
     _check_pattern(g, m)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise DomainError(f"eigenvector must have shape ({g.n},), got {x.shape}")
     norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise StaleEigenvectorError("zero vector is not an eigenvector", float("inf"))
+    if not 0.0 < norm < math.inf:
+        raise StaleEigenvectorError(f"eigenvector has norm {norm}", math.inf)
     x = x / norm
     sym = adjacency_matrix(g)
-    ax = sym.entries @ x
-    lam = float(x @ ax)
-    res = float(np.linalg.norm(ax - lam * x))
-    if res > RESIDUAL_TOL:
+    lam = float(x @ (sym.entries @ x))
+    res = residual(sym, lam, x)
+    if not res <= RESIDUAL_TOL:
         raise StaleEigenvectorError(
             f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "recompute the eigenvector for this graph",
@@ -188,41 +183,36 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
     """All 1-edge exchanges that keep the negative set a spanning tree with
     the same number of leaves, as rotation moves sorted by vertex tuple.
 
-    Each candidate tree is built when the caller reaches it, so a climb
-    that accepts a move early builds none of the ones after it.
+    Adding cd and removing the edge ab of the c-d path, a the end nearer c,
+    keeps the leaf count iff as many of a, b go from degree 2 to 1 as of
+    c, d from 1 to 2; a vertex shared by both edges keeps its degree.  The
+    move is type_i (c, d, b) when a == c, type_i (d, c, a) when b == d, and
+    type_ii (c, d, a, b) otherwise.  Each move and its tree are built when
+    the caller reaches them, so a climb that accepts a move early builds
+    none of the ones after it.
     """
     n = t.n
-    adj = t.adjacency()
     deg = t.degrees()
-    k = leaf_count(t)
-    moves = []
+    labels = []
     for c in range(n):
-        _, parent = _bfs_order(adj, c)
+        _, parent = _bfs_order(t.adjacency(), c)
         for d in range(c + 1, n):
-            if (c, d) in t.edges:
+            if parent[d] == c:  # cd is already an edge
                 continue
-            path = [d]  # walked up to c, so a is the end of each edge nearer c
-            while path[-1] != c:
-                path.append(parent[path[-1]])
-            for b, a in zip(path, path[1:]):
-                delta = {c: 1, d: 1}
-                delta[a] = delta.get(a, 0) - 1
-                delta[b] = delta.get(b, 0) - 1
-                new_k = k
-                for v, dv in delta.items():
-                    new_k += int(deg[v] + dv == 1) - int(deg[v] == 1)
-                if new_k != k:
-                    continue
-                shared = {a, b} & {c, d}
-                if shared:
-                    r = shared.pop()
-                    s = d if r == c else c
-                    tt = b if r == a else a
-                    moves.append(RotationMove("type_i", (r, s, tt)))
-                else:
-                    moves.append(RotationMove("type_ii", (c, d, a, b)))
-    moves.sort(key=lambda m: m.vertices)
-    for move in moves:
+            b = d  # walked up to c, so a = parent[b] is the end nearer c
+            while b != c:
+                a = parent[b]
+                if a == c:
+                    if (deg[b] == 2) == (deg[d] == 1):
+                        labels.append((c, d, b))
+                elif b == d:
+                    if (deg[a] == 2) == (deg[c] == 1):
+                        labels.append((d, c, a))
+                elif (deg[a] == 2) + (deg[b] == 2) == (deg[c] == 1) + (deg[d] == 1):
+                    labels.append((c, d, a, b))
+                b = a
+    for verts in sorted(labels):
+        move = RotationMove("type_i" if len(verts) == 3 else "type_ii", verts)
         yield move, Tree(n, (t.edges - {move.negative_edge}) | {move.positive_edge})
 
 

@@ -46,9 +46,10 @@ from .graphs import (
     prufer_decode,
     prufer_encode,
 )
+from .spectra import tree_indices
 # Nothing here calls eigen_decompose; perfbench's restore test checks this binding
 # (test_traced_run_reports_every_layer_metric_and_restores_the_package).
-from .spectra import eigen_decompose, tree_indices  # noqa: F401
+from .spectra import eigen_decompose  # noqa: F401
 
 # Free-tree class counts for n = 2..12, frozen after the dual-method
 # enumeration agreed; also the classical counting sequence for free trees.

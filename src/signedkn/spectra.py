@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .graphs import SignedCompleteGraph, Tree, _bfs_order, signed_complete_from_tree
+from .graphs import SignedCompleteGraph, Tree, signed_complete_from_tree
 
 # Relative off-diagonal tolerance and sweep cap of the solver.
 JACOBI_REL_TOL = 1e-12
@@ -204,10 +204,10 @@ def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
 
 def _leaves_first(t: Tree) -> list[int]:
     """Parent position of each vertex of t, the vertices numbered by their
-    position in the breadth-first order from vertex 0 (-1 for the root).
+    position in t's breadth-first walk from vertex 0 (-1 for the root).
     Every parent comes before its children, so eliminating positions n-1
     down to 0 takes each vertex after all of its children: leaves first."""
-    order, parent = _bfs_order(t.adjacency(), 0)
+    order, parent = t._walk
     pos = [0] * t.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -298,8 +298,8 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     A - xI = D + 11ᵀ with D = -(1+x)I - 2B, B the tree's adjacency matrix,
     is the Schur complement of the corner of M = [[D, 1], [1ᵀ, -1]], so A
     has as many eigenvalues above x as M has positive pivots.  M is
-    eliminated leaves first, in the order of _leaves_first, and the border
-    last: no step fills in, so each pivot costs O(1).
+    eliminated leaves first, in reverse breadth-first order from vertex 0,
+    and the border last: no step fills in, so each pivot costs O(1).
 
     A zero pivot needs an integer x: it makes -1-x an eigenvalue of 2B on a
     subtree, or x one of A, and a rational algebraic integer is an integer.
@@ -308,12 +308,12 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
         x = Fraction(x)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"x must be finite, got {x!r}") from exc
-    parent = _leaves_first(t)
+    order, parent = t._walk
     d = [-1 - x] * t.n
     b = [Fraction(1)] * t.n
     corner = Fraction(-1)
     above = 0
-    for v in range(t.n - 1, -1, -1):
+    for v in reversed(order):
         dv, bv = d[v], b[v]
         if dv == 0:
             return None

@@ -27,6 +27,7 @@ from signedkn import (
     hill_climb,
     is_balanced,
     prufer_decode,
+    random_tree,
     random_tree_with_leaf_count,
     signed_complete_from_tree,
     spectrum_of,
@@ -43,12 +44,6 @@ def _line(num: int, desc: str, ok: bool, detail: str) -> None:
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num}: {desc} ({detail})")
     assert ok, f"criterion {num}: {desc} ({detail})"
-
-
-def _random_tree(n, rnd):
-    return prufer_decode(
-        PruferSequence(n, tuple(rnd.randrange(n) for _ in range(n - 2)))
-    )
 
 
 def _random_move(t, rnd, kind):
@@ -142,7 +137,7 @@ def test_criterion_04_switching_invariance():
     balance_ok = True
     for _ in range(1000):
         n = rnd.randrange(3, 13)
-        g = signed_complete_from_tree(_random_tree(n, rnd))
+        g = signed_complete_from_tree(random_tree(n, rnd))
         u = [v for v in range(n) if rnd.random() < 0.5]
         h = switch(g, u)
         d = float(np.max(np.abs(spectrum_of(g).values - spectrum_of(h).values)))
@@ -162,7 +157,7 @@ def test_criterion_05_relabeling_invariance():
     worst = 0.0
     for _ in range(1000):
         n = rnd.randrange(3, 13)
-        t = _random_tree(n, rnd)
+        t = random_tree(n, rnd)
         perm = list(range(n))
         rnd.shuffle(perm)
         worst = max(worst, abs(tree_index(t) - tree_index(t.relabel(tuple(perm)))))
@@ -185,7 +180,7 @@ def test_criterion_06_rotation_monotonicity():
     while satisfied < 1000 and attempts < 8000:
         attempts += 1
         n = rnd.randrange(5, 13)
-        t = _random_tree(n, rnd)
+        t = random_tree(n, rnd)
         g = signed_complete_from_tree(t)
         move = _random_move(t, rnd, rnd.choice(("type_i", "type_ii")))
         if move is None:
@@ -234,7 +229,7 @@ def test_criterion_07_eigensolver_quality():
     worst_trace = 0.0
     for _ in range(200):
         n = rnd.randrange(3, 31)
-        g = signed_complete_from_tree(_random_tree(n, rnd))
+        g = signed_complete_from_tree(random_tree(n, rnd))
         vals = spectrum_of(g).values
         worst_trace = max(worst_trace, abs(float(np.sum(vals))))
         worst_trace = max(worst_trace, abs(float(np.sum(vals**2)) - n * (n - 1)))

@@ -18,15 +18,11 @@ from signedkn import (
     find_negative_triangle,
     is_balanced,
     prufer_decode,
+    random_tree,
     signed_complete_from_tree,
     spectrum_of,
     switch,
 )
-
-
-def random_tree(n, rnd):
-    symbols = tuple(rnd.randrange(n) for _ in range(n - 2))
-    return prufer_decode(PruferSequence(n, symbols))
 
 
 # ------------------------------------------------------------- cycle signs
@@ -59,6 +55,14 @@ def test_cycle_sign_validation():
         cycle_sign(g, (0, 1, 1))
     with pytest.raises(DomainError):
         cycle_sign(g, (0, 1, 4))
+
+
+def test_cycle_sign_rejects_non_integer_labels():
+    # int() would truncate 2.5 to 2 and sign the cycle (0, 1, 2)
+    g = signed_complete_from_tree(build_path(4))
+    with pytest.raises(DomainError, match="must be an integer"):
+        cycle_sign(g, (0, 1, 2.5))
+    assert cycle_sign(g, np.array([0, 1, 3])) == -1
 
 
 def test_cycle_sign_rotation_and_reflection_invariant():
@@ -176,6 +180,14 @@ def test_switch_validation():
     g = signed_complete_from_tree(build_path(4))
     with pytest.raises(DomainError):
         switch(g, (4,))
+
+
+def test_switch_rejects_non_integer_labels():
+    # int() would truncate 0.5 to 0 and switch vertex 0
+    g = signed_complete_from_tree(build_path(4))
+    with pytest.raises(DomainError, match="must be an integer"):
+        switch(g, (0.5,))
+    assert switch(g, np.array([0])) == switch(g, (0,))
 
 
 @given(

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from signedkn import (
     InvariantViolationError,
     MalformedInputError,
     PruferSequence,
+    SignedCompleteGraph,
     Tree,
     build_broom,
     build_double_star,
@@ -78,6 +81,38 @@ def test_tree_rejects_self_loop_and_range():
         Tree(3, frozenset({(0, 0), (1, 2)}))
     with pytest.raises(InvariantViolationError):
         Tree(3, frozenset({(0, 1), (1, 3)}))
+
+
+# int() would truncate each 1.5 to 1 (the first builds the path 0-1-2)
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Tree(3, frozenset({(0, 1.5), (1, 2)})), InvariantViolationError),
+        (lambda: SignedCompleteGraph(3, frozenset({(0, 1.5)})), InvariantViolationError),
+        (lambda: PruferSequence(4, (1.5, 2)), MalformedInputError),
+    ],
+    ids=["Tree", "SignedCompleteGraph", "PruferSequence"],
+)
+def test_non_integer_labels_are_rejected(build, error):
+    with pytest.raises(error, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_labels_are_accepted():
+    t = Tree(3, frozenset({(np.int64(0), np.int64(1)), (1, np.int32(2))}))
+    assert t == build_path(3)
+    assert all(type(v) is int for e in t.edges for v in e)
+    assert PruferSequence(4, tuple(np.array([1, 2]))).symbols == (1, 2)
+
+
+def test_tree_keeps_its_walk_outside_the_fields():
+    assert [f.name for f in dataclasses.fields(Tree)] == ["n", "edges"]
+    t = build_broom(7, 3)
+    u = Tree(7, t.edges)
+    object.__setattr__(u, "_walk", ([], []))
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+    assert "_walk" not in repr(t)
+    assert t._walk[0][0] == 0 and sorted(t._walk[0]) == list(range(7))
 
 
 def test_tree_too_small():

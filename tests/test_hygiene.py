@@ -3,7 +3,7 @@
 Unused imports: every name a module imports must be referenced in it.  No
 linter ships with the package, so this parses the sources with ast.
 `__init__.py` re-exports names and is exempt, and so is any import
-statement marked `# noqa: F401`.
+statement marked `# noqa: F401`; such a statement binds exactly one name.
 
 Dead helpers: every module-level `_`-prefixed function in the package must
 be referenced, as a name or an attribute, somewhere in the package.
@@ -37,9 +37,10 @@ SOURCES = sorted(
 )
 
 
-def _imported_names(tree: ast.Module, lines: list[str]):
-    """(bound name, line) for each import outside `__future__` and noqa."""
-    for node in ast.walk(tree):
+def _imports(source: str):
+    """(bound names, line, marked noqa) for each import outside `__future__`."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             aliases = [a.asname or a.name.partition(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -47,18 +48,16 @@ def _imported_names(tree: ast.Module, lines: list[str]):
         else:
             continue
         text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-        if "# noqa: F401" in text:
-            continue
-        for name in aliases:
-            yield name, node.lineno
+        yield aliases, node.lineno, "# noqa: F401" in text
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
-    tree = ast.parse(source)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
     return [
         (name, line)
-        for name, line in _imported_names(tree, source.splitlines())
+        for aliases, line, noqa in _imports(source)
+        if not noqa
+        for name in aliases
         if name not in used
     ]
 
@@ -82,6 +81,37 @@ def test_guard_flags_unused_and_honours_noqa():
         "    return numpy.linalg.norm(x) * pi\n"
     )
     assert unused_imports(src) == [("os", 2), ("osp", 2), ("tau", 5)]
+
+
+def wide_noqa_imports(source: str) -> list[tuple[list[str], int]]:
+    """(bound names, line) for each import marked `# noqa: F401` that does
+    not bind exactly one name, so the mark exempts no name beside the one
+    it is there for."""
+    return [
+        (aliases, line) for aliases, line, noqa in _imports(source) if noqa and len(aliases) != 1
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_noqa_imports_bind_one_name(path):
+    assert wide_noqa_imports(path.read_text()) == []
+
+
+def test_guard_flags_a_noqa_import_of_several_names():
+    src = (
+        "from json import dumps  # noqa: F401\n"
+        "from json import dumps, loads  # noqa: F401\n"
+        "from math import (  # noqa: F401\n"
+        "    pi,\n"
+        "    tau,\n"
+        ")\n"
+        "import os, sys  # noqa: F401\n"
+        "from csv import *  # noqa: F401\n"
+        "from io import StringIO, BytesIO\n"
+    )
+    assert wide_noqa_imports(src) == [
+        (["dumps", "loads"], 2), (["pi", "tau"], 3), (["os", "sys"], 7), ([], 8)
+    ]
 
 
 FORMAT_MODULES = {"json", "csv", "io"}

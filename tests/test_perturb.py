@@ -30,6 +30,7 @@ from signedkn import (
     hill_climb,
     leaf_count,
     prufer_decode,
+    random_tree,
     random_tree_with_leaf_count,
     signed_complete_from_tree,
     spectrum_of,
@@ -40,11 +41,6 @@ from signedkn import (
 from signedkn import perturb, spectra
 from signedkn.cli import run
 from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
-
-
-def random_tree(n, rnd):
-    symbols = tuple(rnd.randrange(n) for _ in range(n - 2))
-    return prufer_decode(PruferSequence(n, symbols))
 
 
 def random_move(t, rnd, kind):
@@ -95,6 +91,17 @@ def test_move_validation():
         RotationMove("type_ii", (0, 1, 2))
     with pytest.raises(DomainError):
         RotationMove("type_i", (0, 1, 1))
+
+
+def test_move_rejects_non_integer_labels():
+    # int() would truncate 0.9 to 0 and give the move (0, 2, 3)
+    with pytest.raises(DomainError):
+        RotationMove("type_i", (0.9, 2, 3))
+    with pytest.raises(DomainError):
+        RotationMove("type_i", ("0", 2, 3))
+    move = RotationMove("type_ii", tuple(np.arange(4)))
+    assert move.vertices == (0, 1, 2, 3)
+    assert all(type(v) is int for v in move.vertices)
 
 
 def test_apply_rotation_path4():
@@ -234,6 +241,20 @@ def test_check_precondition_rejects_stale_vector():
         check_precondition(g, m, np.ones(5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_precondition_rejects_a_non_finite_vector(bad):
+    # normalised, such a vector has NaN entries, and a NaN residual is
+    # neither above nor below the tolerance; no numpy warning comes first
+    g = signed_complete_from_tree(build_path(6))
+    m = RotationMove("type_i", (1, 3, 0))
+    x = top_eigenvector(g).vector
+    for vec in (np.full(6, bad), np.where(np.arange(6) == 2, bad, x)):
+        with pytest.raises(StaleEigenvectorError) as exc:
+            check_precondition(g, m, vec)
+        assert exc.value.residual == math.inf
+
+
 def test_check_precondition_makes_no_eigensolve(monkeypatch):
     calls = []
     solve = spectra._jacobi_sweeps
@@ -313,24 +334,31 @@ def _exchange_oracle(t):
     return out
 
 
-def test_candidate_moves_match_exchange_oracle(classes_of):
+def _oracle_trees(classes_of):
+    """Every class with n <= 8 and one relabelling of it, then random
+    trees at n = 12 and 16."""
     rnd = random.Random(12)
-    for n in range(2, 8):
+    for n in range(2, 9):
         for cls in classes_of(n):
             perm = list(range(n))
             rnd.shuffle(perm)
-            for t in (cls, cls.relabel(perm)):
-                cands = list(_candidate_moves(t))
-                got = [new_tree.edges for _, new_tree in cands]
-                assert len(got) == len(set(got))
-                assert set(got) == _exchange_oracle(t)
-                g = signed_complete_from_tree(t)
-                for move, new_tree in cands:
-                    assert apply_rotation(g, move) == signed_complete_from_tree(
-                        new_tree
-                    )
-                verts = [move.vertices for move, _ in cands]
-                assert verts == sorted(verts)
+            yield cls
+            yield cls.relabel(perm)
+    for n in (12, 12, 12, 16, 16, 16):
+        yield random_tree(n, rnd)
+
+
+def test_candidate_moves_match_exchange_oracle(classes_of):
+    for t in _oracle_trees(classes_of):
+        cands = list(_candidate_moves(t))
+        got = [new_tree.edges for _, new_tree in cands]
+        assert len(got) == len(set(got))
+        assert set(got) == _exchange_oracle(t)
+        g = signed_complete_from_tree(t)
+        for move, new_tree in cands:
+            assert apply_rotation(g, move) == signed_complete_from_tree(new_tree)
+        verts = [move.vertices for move, _ in cands]
+        assert verts == sorted(verts)
 
 
 # ------------------------------------------------------------- hill climb
