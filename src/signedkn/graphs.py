@@ -25,6 +25,18 @@ def _vertex(v, error: type[Exception] = InvariantViolationError) -> int:
         raise error(f"vertex label must be an integer, got {v!r}") from None
 
 
+def _vertex_count(n, needs: str) -> int:
+    """n as an int, from any integer type as _vertex takes it, if n >= 2;
+    else a DomainError that starts with needs."""
+    try:
+        m = operator.index(n)
+    except TypeError:
+        m = None
+    if m is None or m < 2:
+        raise DomainError(f"{needs}, got {n!r}")
+    return m
+
+
 def _norm_edge(e) -> tuple[int, int]:
     u, v = e
     u, v = _vertex(u), _vertex(v)
@@ -48,8 +60,8 @@ class Tree:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"tree needs an integer n >= 2, got {self.n!r}")
+        n = _vertex_count(self.n, "tree needs an integer n >= 2")
+        object.__setattr__(self, "n", n)
         edges = frozenset(_norm_edge(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         nbs: list[list[int]] = [[] for _ in range(self.n)]
@@ -98,8 +110,8 @@ class PruferSequence:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"Prufer sequence needs n >= 2, got {self.n!r}")
+        n = _vertex_count(self.n, "Prufer sequence needs n >= 2")
+        object.__setattr__(self, "n", n)
         symbols = tuple(_vertex(s, MalformedInputError) for s in self.symbols)
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) != self.n - 2:
@@ -288,8 +300,8 @@ class SignedCompleteGraph:
     negative_edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"signed K_n needs n >= 2, got {self.n!r}")
+        n = _vertex_count(self.n, "signed K_n needs n >= 2")
+        object.__setattr__(self, "n", n)
         neg = frozenset(_norm_edge(e) for e in self.negative_edges)
         object.__setattr__(self, "negative_edges", neg)
         for u, v in neg:

@@ -151,7 +151,8 @@ def check_precondition(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise DomainError(f"eigenvector must have shape ({g.n},), got {x.shape}")
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        norm = float(np.linalg.norm(x))
     if not 0.0 < norm < math.inf:
         raise StaleEigenvectorError(f"eigenvector has norm {norm}", math.inf)
     x = x / norm

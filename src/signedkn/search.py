@@ -9,7 +9,9 @@ Two independent enumeration routes are kept deliberately:
       numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
       at a time, one leaf-peel step per symbol position, which roots each
       tree at n-1, and keys each row by its AHU code rooted there, an
-      integer whose binary digits are _rooted_code's string.  Only the
+      integer whose binary digits are _rooted_code's string.  Depths below
+      n-1 come from ceil(log2(n-1)) rounds of pointer jumping, and one sort
+      of the block's depths makes each level of the code a slice.  Only the
       first sequence of each rooted class goes through the scalar
       prufer_decode, whose rooted code must agree with the kernel, and
       canonical_code, which merges the rooted classes into free ones;
@@ -78,7 +80,7 @@ CHAIN_GAP_TOL = 1e-9
 
 # Rows of the Prufer route decoded together.  Each block works on a few
 # (PRUFER_BLOCK, n) arrays, so the route's memory stays flat in n**(n-2).
-PRUFER_BLOCK = 512
+PRUFER_BLOCK = 2048
 
 
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
@@ -132,38 +134,51 @@ def _rooted_keys(parent: np.ndarray) -> np.ndarray:
     _rooted_code sorts children, is ordering the integers.  Children are
     joined level by level, deepest first."""
     b, n = parent.shape
-    rows = np.arange(b)
-    # Depth below n-1: walk every vertex up n-1 steps; all must arrive.
-    depth = np.zeros((b, n), np.int32)
-    anc = np.broadcast_to(np.arange(n, dtype=np.int32), (b, n))
-    for _ in range(n - 1):
-        depth += anc != n - 1
-        anc = parent[rows[:, None], anc]
-    if not (anc == n - 1).all():
+    # Vertex v of row r is r*n + v in the flat arrays below.
+    base = np.arange(0, b * n, n)[:, None]
+    up = (base + parent).ravel()
+    # Depth below n-1 by pointer jumping (Wyllie): after round i, jump is
+    # the ancestor 2**i levels up, or the root, and depth the distance to
+    # it, so ceil(log2(n-1)) rounds reach the root from every depth < n.
+    depth = np.ones(b * n, np.int32)
+    depth[n - 1 :: n] = 0
+    jump = up
+    for _ in range((n - 2).bit_length()):
+        depth += depth[jump]
+        jump = jump[jump]
+    if not (jump.reshape(b, n) == base + (n - 1)).all():
         raise InvariantViolationError(
             f"not all {n} vertices are reached from {n - 1} within {n - 1} levels"
         )
-    code = np.full((b, n), 2, np.int32)  # a leaf is "10"
-    length = np.full((b, n), 2, np.int32)
-    for d in range(int(depth.max()), 0, -1):
-        r, v = np.nonzero(depth == d)
-        group = r * n + parent[r, v]
-        kid = code[r, v]
+    # One sort, deepest first: each level is a slice of it, and the root
+    # (depth 0) is last.
+    order = np.argsort(-depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth)[::-1]).tolist()
+    code = np.full(b * n, 2, np.int32)  # a leaf is "10"
+    length = np.full(b * n, 2, np.int32)
+    for lo, hi in zip([0, *bounds], bounds[:-1]):
+        at = order[lo:hi]
+        group = up[at]
+        kid = code[at]
         # np.unique sorts with this kind too, and one kind keeps less numpy
         # code resident; the order of equal keys (equal children) is moot
         by = np.argsort((group << 2 * n) | kid, kind="stable")
-        group, kid, kid_len = group[by], kid[by], length[r, v][by]
-        first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-        stop = np.r_[first[1:], len(group)]
+        group, kid, kid_len = group[by], kid[by], length[at][by]
+        # edge[i]: sorted position i starts a parent's children (i < len)
+        # or ends the previous parent's (i > 0)
+        edge = np.ones(len(group) + 1, bool)
+        np.not_equal(group[1:], group[:-1], out=edge[1:-1])
+        first = np.flatnonzero(edge[:-1])
+        last = np.flatnonzero(edge[1:])
         ends = np.cumsum(kid_len)
         # each child is shifted past its later siblings
-        shift = np.repeat(ends[stop - 1], stop - first) - ends
+        shift = np.repeat(ends[last], last - first + 1) - ends
         joined = np.add.reduceat(kid << shift, first)
         total = np.add.reduceat(kid_len, first)
-        pr, pv = np.divmod(group[first], n)
-        code[pr, pv] = (1 << (total + 1)) | (joined << 1)
-        length[pr, pv] = total + 2
-    return code[:, n - 1].astype(np.int64)
+        pv = group[first]
+        code[pv] = (1 << (total + 1)) | (joined << 1)
+        length[pv] = total + 2
+    return code[n - 1 :: n].astype(np.int64)
 
 
 def _classes_by_prufer(n: int) -> dict[str, Tree]:

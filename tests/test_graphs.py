@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,28 @@ def test_numpy_integer_labels_are_accepted():
     assert t == build_path(3)
     assert all(type(v) is int for e in t.edges for v in e)
     assert PruferSequence(4, tuple(np.array([1, 2]))).symbols == (1, 2)
+
+
+# n is read like a vertex label: any integer type, but not a float or a
+# string, and at least 2
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Tree(n, frozenset({(0, 1), (1, 2)})),
+        lambda n: PruferSequence(n, (1,)),
+        lambda n: SignedCompleteGraph(n, frozenset({(0, 2)})),
+    ],
+    ids=["Tree", "PruferSequence", "SignedCompleteGraph"],
+)
+def test_numpy_integer_n_is_accepted(build):
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        obj = build(n)
+        assert type(obj.n) is int
+        assert obj == build(3) and hash(obj) == hash(build(3))
+        assert repr(obj) == repr(build(3))
+    for bad in (3.0, np.float64(3.0), "3", None, 1, np.int64(1), -3):
+        with pytest.raises(DomainError, match=re.escape(f"n >= 2, got {bad!r}")):
+            build(bad)
 
 
 def test_tree_keeps_its_walk_outside_the_fields():

@@ -245,11 +245,16 @@ def test_check_precondition_rejects_stale_vector():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_precondition_rejects_a_non_finite_vector(bad):
     # normalised, such a vector has NaN entries, and a NaN residual is
-    # neither above nor below the tolerance; no numpy warning comes first
+    # neither above nor below the tolerance; no numpy warning comes first,
+    # nor does one when finite entries give a norm past the float range
     g = signed_complete_from_tree(build_path(6))
     m = RotationMove("type_i", (1, 3, 0))
     x = top_eigenvector(g).vector
-    for vec in (np.full(6, bad), np.where(np.arange(6) == 2, bad, x)):
+    for vec in (
+        np.full(6, bad),
+        np.where(np.arange(6) == 2, bad, x),
+        np.full(6, 1e300),
+    ):
         with pytest.raises(StaleEigenvectorError) as exc:
             check_precondition(g, m, vec)
         assert exc.value.residual == math.inf

@@ -99,6 +99,42 @@ def test_prufer_kernel_agrees_with_scalar_codec():
         assert len(set(keys.tolist())) == {4: 4, 5: 9, 6: 20, 7: 48}[n]
 
 
+def test_prufer_kernel_depths_at_the_jumping_round_boundaries():
+    # the path ending at n-1 is the deepest tree rooted there (depth n-1,
+    # which ceil(log2(n-1)) jumping rounds just reach), the star centred at
+    # n-1 the shallowest; one caterpillar, rooted at a leaf, lies between
+    for n in range(2, 10):
+        spine = (n + 1) // 2
+        trees = [
+            build_path(n),
+            Tree(n, frozenset((v, n - 1) for v in range(n - 1))),
+            Tree(
+                n,
+                frozenset(
+                    [(v, v + 1) for v in range(spine - 1)]
+                    + [(v - spine, v) for v in range(spine, n)]
+                ),
+            ),
+        ]
+        symbols = np.array([prufer_encode(t).symbols for t in trees])
+        keys = search._rooted_keys(search._peel(symbols.reshape(3, n - 2), n))
+        for t, key in zip(trees, keys.tolist()):
+            assert format(key, "b") == _rooted_code(t.adjacency(), n - 1), (n, t)
+
+
+def test_prufer_kernel_raises_on_a_cycle_below_a_deep_path():
+    # n = 9 takes three jumping rounds; the path row needs all of them, and
+    # the row whose 3 -> 4 -> 5 -> 3 cycle hangs below 0 -> 1 -> 2 never
+    # reaches the root 8, so only the block with that row raises
+    path = search._peel(np.array([prufer_encode(build_path(9)).symbols]), 9)
+    cycle = np.array([[1, 2, 3, 4, 5, 3, 8, 8, 8]])
+    assert format(search._rooted_keys(path)[0], "b") == _rooted_code(
+        build_path(9).adjacency(), 8
+    )
+    with pytest.raises(InvariantViolationError, match="not all 9 vertices"):
+        search._rooted_keys(np.concatenate([path, cycle]))
+
+
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
     default = enumerate_tree_classes(7, method="prufer")
     monkeypatch.setattr(search, "PRUFER_BLOCK", 7)
