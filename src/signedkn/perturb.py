@@ -144,18 +144,20 @@ def check_precondition(
     """Evaluate the move's eigenvector-entry precondition.
 
     x must be a λ1-eigenvector of g: it is unit-normalized and rejected
-    with a stale-eigenvector error unless its norm is finite and nonzero
-    and its Rayleigh residual is at most RESIDUAL_TOL.
+    with a stale-eigenvector error unless its entries are finite and not
+    all zero and its Rayleigh residual is at most RESIDUAL_TOL.  It is
+    divided by its largest entry first, so a finite vector whose norm
+    leaves the float range is judged like any multiple of it.
     """
     _check_pattern(g, m)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise DomainError(f"eigenvector must have shape ({g.n},), got {x.shape}")
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        norm = float(np.linalg.norm(x))
-    if not 0.0 < norm < math.inf:
-        raise StaleEigenvectorError(f"eigenvector has norm {norm}", math.inf)
-    x = x / norm
+    scale = float(np.max(np.abs(x)))
+    if not 0.0 < scale < math.inf:
+        raise StaleEigenvectorError(f"eigenvector has largest entry {scale}", math.inf)
+    x = x / scale
+    x = x / np.linalg.norm(x)
     sym = adjacency_matrix(g)
     lam = float(x @ (sym.entries @ x))
     res = residual(sym, lam, x)

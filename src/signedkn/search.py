@@ -295,13 +295,9 @@ def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
     trees, count = [], 0
     for parent in parents:
         count += 1
-        if k is not None:
-            deg = [1] * n
-            deg[0] = 0
-            for p in parent[1:]:
-                deg[p] += 1
-            if deg.count(1) != k:
-                continue
+        # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
+        if k is not None and n - len(set(parent[1:])) + (parent.count(0) == 1) != k:
+            continue
         trees.append(Tree(n, frozenset(zip(range(1, n), parent[1:]))))
     if count != FREE_TREE_COUNTS[n]:
         raise InvariantViolationError(

@@ -114,17 +114,25 @@ def test_balance_matches_triangle_search():
 
 
 def test_balance_matches_all_triangles_exhaustive():
-    # every one of the 64 sign patterns on K_4
-    n = 4
-    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for r in range(len(pool) + 1):
-        for neg in itertools.combinations(pool, r):
+    # every sign pattern on K_4 (64) and K_5 (1024); the witness is the
+    # lexicographically first negative triangle
+    for n in (4, 5):
+        pool = list(itertools.combinations(range(n), 2))
+        for neg in itertools.chain.from_iterable(
+            itertools.combinations(pool, r) for r in range(len(pool) + 1)
+        ):
             g = SignedCompleteGraph(n, frozenset(neg))
-            every = all(
-                cycle_sign(g, tri) == 1
-                for tri in itertools.combinations(range(n), 3)
+            first = next(
+                (
+                    tri
+                    for tri in itertools.combinations(range(n), 3)
+                    if cycle_sign(g, tri) == -1
+                ),
+                None,
             )
-            assert is_balanced(g) == every
+            assert find_negative_triangle(g) == first
+            assert is_balanced(g) == (first is None)
+            assert (bipartition(g) is None) == (first is not None)
 
 
 def test_bipartition_witness():

@@ -221,12 +221,14 @@ def test_check_precondition_star_unsatisfied():
 
 
 def test_check_precondition_scale_invariant():
+    # 2**±600 times a unit vector has a norm past the float range, yet the
+    # scaling is exact, so the report must not change in a single bit
     g = signed_complete_from_tree(build_path(6))
-    top = top_eigenvector(g)
-    m = RotationMove("type_i", (1, 3, 0))
-    r1 = check_precondition(g, m, top.vector)
-    r2 = check_precondition(g, m, 8.0 * top.vector)
-    assert r1 == r2
+    x = top_eigenvector(g).vector
+    for m in (RotationMove("type_i", (1, 3, 0)), RotationMove("type_i", (0, 2, 1))):
+        report = check_precondition(g, m, x)
+        for factor in (8.0, 2.0**600, 2.0**-600):
+            assert check_precondition(g, m, factor * x) == report
 
 
 def test_check_precondition_rejects_stale_vector():
@@ -245,19 +247,19 @@ def test_check_precondition_rejects_stale_vector():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_precondition_rejects_a_non_finite_vector(bad):
     # normalised, such a vector has NaN entries, and a NaN residual is
-    # neither above nor below the tolerance; no numpy warning comes first,
-    # nor does one when finite entries give a norm past the float range
+    # neither above nor below the tolerance; no numpy warning comes first
     g = signed_complete_from_tree(build_path(6))
     m = RotationMove("type_i", (1, 3, 0))
     x = top_eigenvector(g).vector
-    for vec in (
-        np.full(6, bad),
-        np.where(np.arange(6) == 2, bad, x),
-        np.full(6, 1e300),
-    ):
+    for vec in (np.full(6, bad), np.where(np.arange(6) == 2, bad, x)):
         with pytest.raises(StaleEigenvectorError) as exc:
             check_precondition(g, m, vec)
         assert exc.value.residual == math.inf
+    # finite entries whose norm is past the float range raise no warning
+    # either; this one is rejected by its residual, as ones(6) is
+    with pytest.raises(StaleEigenvectorError) as exc:
+        check_precondition(g, m, np.full(6, 1e300))
+    assert 1e-8 < exc.value.residual < math.inf
 
 
 def test_check_precondition_makes_no_eigensolve(monkeypatch):
