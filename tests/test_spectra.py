@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -352,6 +353,40 @@ def test_exact_bits_at_benchmark_sizes():
         0.41790650594127476,
         -0.23192061392432972,
     ]
+
+
+# sha256 of eigen_decompose's values and vectors bytes, tol and sweeps over
+# solver_golden_inputs(), recorded before the solver's rotations moved from
+# numpy rows to Python lists
+SOLVER_GOLDEN_SHA256 = "43fbfeeaea38e660fcc58509bbe226402bac26d6a164eec969c0d66c3353ee40"
+
+
+def solver_golden_inputs():
+    """Every tree class with n <= 10, 20 seeded Prufer trees at n = 16, a
+    diagonal matrix, the zero matrix and 10 random signings of K_7."""
+    mats = [
+        adjacency_matrix(signed_complete_from_tree(t)).entries
+        for n in range(2, 11)
+        for t in enumerate_tree_classes(n).values()
+    ]
+    rnd = random.Random(2020)
+    mats += [adjacency_matrix(random_tree_graph(16, rnd)).entries for _ in range(20)]
+    mats += [np.diag([3.0, -1.0, 2.0, 0.5, -7.25]), np.zeros((6, 6))]
+    mats += [random_signed_adjacency(7, rnd) for _ in range(10)]
+    return mats
+
+
+def test_solver_bits_golden():
+    # any change to the bits the solver returns shows up here, including
+    # a change to its stopping point (tol, sweeps)
+    h = hashlib.sha256()
+    for a in solver_golden_inputs():
+        s = decomp(a)
+        h.update(s.values.tobytes())
+        h.update(s.vectors.tobytes())
+        h.update(np.float64(s.tol).tobytes())
+        h.update(s.sweeps.to_bytes(4, "little"))
+    assert h.hexdigest() == SOLVER_GOLDEN_SHA256
 
 
 def test_spectrum_vectors_diagonalize():
