@@ -42,7 +42,7 @@ def _switched_to_plus(
     """minus, the vertices joined to 0 by a negative edge, and left, the
     edges still negative after switching minus."""
     minus = frozenset(v for u, v in g.negative_edges if u == 0)
-    return minus, switch(g, minus).negative_edges
+    return minus, g.negative_edges ^ _cut(g.n, minus)
 
 
 def is_balanced(g: SignedCompleteGraph) -> bool:
@@ -72,8 +72,11 @@ def switch(g: SignedCompleteGraph, vertices: Iterable[int]) -> SignedCompleteGra
     for v in inside:
         if not 0 <= v < g.n:
             raise DomainError(f"switch vertex {v} out of range for n={g.n}")
-    outside = [v for v in range(g.n) if v not in inside]
-    cut = frozenset(
-        (a, b) if a < b else (b, a) for a in inside for b in outside
-    )
-    return SignedCompleteGraph(g.n, g.negative_edges ^ cut)
+    return SignedCompleteGraph(g.n, g.negative_edges ^ _cut(g.n, inside))
+
+
+def _cut(n: int, inside: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The edges of K_n with exactly one endpoint in inside, as (min, max)
+    pairs: the edges whose sign switching inside flips."""
+    outside = [v for v in range(n) if v not in inside]
+    return frozenset((a, b) if a < b else (b, a) for a in inside for b in outside)
