@@ -7,9 +7,10 @@ eigenvector with a fixed sign convention.
 the eigenvalues of trees", Linear Algebra Appl. 434, 2011) with one
 bordering vertex for the all-ones part: the tree's leaves are eliminated
 first, so each pivot costs O(1).  tree_eigs_above counts the eigenvalues
-above a rational x exactly, in Fraction arithmetic; tree_indices finds λ1
-of a stack of same-size trees by multisection on the float counts, all
-trees and points at once.  tree_index, spectrum_of and top_eigenvector
+above a rational x exactly, in Python integers with one exact division per
+vertex, as in Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
+tree_indices finds λ1 of a stack of same-size trees by multisection on the
+float counts, all trees and points at once.  tree_index, spectrum_of and top_eigenvector
 solve one matrix by Jacobi.
 """
 
@@ -125,18 +126,27 @@ def _jacobi_sweeps(w, tol):
     columns p and q of A completes Jᵀ A J, which stays exactly symmetric.
     The right block ends as Vᵀ, the transposed eigenvector matrix.
 
+    The rotations run on w's rows as Python lists of floats, which on rows
+    this short costs far less than a numpy call per row.  Each entry is the
+    same IEEE double operations in the same order as the numpy rows would
+    take, c*x - s*y and s*x + c*y with every product rounded on its own,
+    so the bits are those of the array version.  The rows go back into w
+    before each off-norm, which numpy sums.
+
     Returns (achieved off-diagonal Frobenius norm, sweeps used).
     """
     n = w.shape[0]
     off = _off_norm(w[:, :n])
     sweeps = 0
+    rows = w.tolist()
     while off > tol and sweeps < MAX_SWEEPS:
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = w[p, q]
+                rp, rq = rows[p], rows[q]
+                apq = rp[q]
                 if apq == 0.0:
                     continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
+                theta = (rq[q] - rp[p]) / (2.0 * apq)
                 if abs(theta) > 1e154:
                     # asymptotic branch: avoids overflow in theta * theta
                     t = 1.0 / (2.0 * theta)
@@ -146,19 +156,21 @@ def _jacobi_sweeps(w, tol):
                     t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                app = w[p, p] - t * apq
-                aqq = w[q, q] + t * apq
-                wp = c * w[p] - s * w[q]
-                wq = s * w[p] + c * w[q]
-                w[p] = wp
-                w[q] = wq
-                w[:, p] = wp[:n]
-                w[:, q] = wq[:n]
-                w[p, p] = app
-                w[q, q] = aqq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
+                app = rp[p] - t * apq
+                aqq = rq[q] + t * apq
+                wp = [c * x - s * y for x, y in zip(rp, rq)]
+                wq = [s * x + c * y for x, y in zip(rp, rq)]
+                rows[p] = wp
+                rows[q] = wq
+                for r, x, y in zip(rows, wp, wq):
+                    r[p] = x
+                    r[q] = y
+                wp[p] = app
+                wq[q] = aqq
+                wp[q] = 0.0
+                wq[p] = 0.0
         sweeps += 1
+        w[:] = rows
         off = _off_norm(w[:, :n])
     return off, sweeps
 
@@ -301,31 +313,51 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     eliminated leaves first, in reverse breadth-first order from vertex 0,
     and the border last: no step fills in, so each pivot costs O(1).
 
+    The count runs in Python integers on Q·M, for x = P/Q: scaling by Q > 0
+    keeps every pivot's sign.  When v's turn comes, its pivot is T/E, where
+    T is the determinant of v's subtree block K_v of Q·M and E the product
+    of its children's T; its border entry is S/E; and R/E is the sum of its
+    children's U/T, where a subtree block K with determinant T takes
+    Q²·1ᵀK⁻¹1 = U/T off the corner, U = Q²·1ᵀ adj(K) 1.  Eliminating v
+    gives U = (S² + T·R) / E for v, an integer: the division is exact, as in
+    Bareiss's fraction-free elimination ("Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968), and no number outgrows the subtree determinants and their
+    products over a vertex's children.  At the root the corner ends as
+    -(Q·T + U)/T.
+
     A zero pivot needs an integer x: it makes -1-x an eigenvalue of 2B on a
     subtree, or x one of A, and a rational algebraic integer is an integer.
     """
     try:
-        x = Fraction(x)
+        num, den = Fraction(x).as_integer_ratio()
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"x must be finite, got {x!r}") from exc
     order, parent = t._walk
-    d = [-1 - x] * t.n
-    b = [Fraction(1)] * t.n
-    corner = Fraction(-1)
+    n = t.n
+    four_q2, two_q = 4 * den * den, 2 * den
+    piv = [-(den + num)] * n  # T
+    bord = [den] * n  # S
+    prod = [1] * n  # E
+    took = [0] * n  # R
     above = 0
     for v in reversed(order):
-        dv, bv = d[v], b[v]
-        if dv == 0:
+        tv, ev, sv = piv[v], prod[v], bord[v]
+        if tv == 0:
             return None
-        above += dv > 0
+        above += (tv > 0) == (ev > 0)
+        uv = (sv * sv + tv * took[v]) // ev
         p = parent[v]
         if p >= 0:
-            d[p] -= 4 / dv
-            b[p] += 2 * bv / dv
-        corner -= bv * bv / dv
+            ep = prod[p]
+            piv[p] = piv[p] * tv - four_q2 * ev * ep
+            bord[p] = bord[p] * tv + two_q * sv * ep
+            took[p] = took[p] * tv + uv * ep
+            prod[p] = ep * tv
+    corner = -(den * tv + uv)
     if corner == 0:
         return None
-    return above + (corner > 0)
+    return above + ((corner > 0) == (tv > 0))
 
 
 def residual(m: SymMatrix, value: float, vector: np.ndarray) -> float:

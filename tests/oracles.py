@@ -2,10 +2,13 @@
 
 Nothing here touches the package's own solver: characteristic polynomials
 go through sympy's exact integer arithmetic, the power iteration is plain
-numpy, and numpy.linalg.eigvalsh serves as a third opinion where handy.
+numpy, numpy.linalg.eigvalsh serves as a third opinion where handy, and
+the exact eigenvalue count eliminates in Fraction arithmetic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import sympy
@@ -66,3 +69,39 @@ def power_top_two(
 def numpy_eigenvalues(a: np.ndarray) -> np.ndarray:
     """LAPACK eigenvalues sorted descending."""
     return np.linalg.eigvalsh(a)[::-1]
+
+
+def fraction_eigs_above(t, x) -> int | None:
+    """Eigenvalues of (K_n, T-) strictly above x, from the pivots of the
+    bordered matrix [[-(1+x)I - 2B, 1], [1ᵀ, -1]] in Fraction arithmetic;
+    None at an exactly zero pivot.  The tree is eliminated leaves first in
+    reverse breadth-first order from vertex 0, neighbours ascending, the
+    order spectra.tree_eigs_above uses, so a zero pivot meets both at the
+    same step.  The walk is rebuilt here from t.adjacency()."""
+    x = Fraction(x)
+    adj = t.adjacency()
+    parent = [-1] * t.n
+    order, seen = [0], {0}
+    for v in order:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+    d = [-1 - x] * t.n
+    b = [Fraction(1)] * t.n
+    corner = Fraction(-1)
+    above = 0
+    for v in reversed(order):
+        dv, bv = d[v], b[v]
+        if dv == 0:
+            return None
+        above += dv > 0
+        p = parent[v]
+        if p >= 0:
+            d[p] -= 4 / dv
+            b[p] += 2 * bv / dv
+        corner -= bv * bv / dv
+    if corner == 0:
+        return None
+    return above + (corner > 0)

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     charpoly_coefficients,
     charpoly_eigenvalues,
+    fraction_eigs_above,
     numpy_eigenvalues,
     power_top_two,
 )
@@ -449,6 +452,39 @@ def test_tree_eigs_above_meets_a_zero_pivot_only_at_an_integer():
                         assert isinstance(tree_eigs_above(t, x), int), (n, x)
                         floats += 1
     assert floats > 2500 and integers > 0
+
+
+@st.composite
+def trees_and_points(draw):
+    """A random Prufer tree with 2 <= n <= 60 and an x for it: a float
+    across the spectrum or anywhere, an integer (where zero pivots occur),
+    a Fraction with a denominator up to 10**40, or a subnormal float."""
+    n = draw(st.integers(2, 60))
+    symbols = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    t = prufer_decode(PruferSequence(n, tuple(symbols)))
+    x = draw(
+        st.one_of(
+            st.floats(-2.0 * n - 1.0, float(n)),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-2 * n - 1, n),
+            st.integers(-3, 3),
+            st.builds(
+                Fraction,
+                st.integers(-(10**42), 10**42),
+                st.integers(10**20, 10**40),
+            ),
+            st.fractions(-2 * n - 1, n, max_denominator=10**40),
+            st.floats(-(2.0**-1022), 2.0**-1022, exclude_min=True, exclude_max=True),
+        )
+    )
+    return t, x
+
+
+@settings(max_examples=200)
+@given(trees_and_points())
+def test_tree_eigs_above_matches_the_fraction_oracle(tx):
+    t, x = tx
+    assert tree_eigs_above(t, x) == fraction_eigs_above(t, x)
 
 
 def test_tree_eigs_above_needs_finite_x():
