@@ -359,8 +359,8 @@ def test_exact_bits_at_benchmark_sizes():
 
 
 # sha256 of eigen_decompose's values and vectors bytes, tol and sweeps over
-# solver_golden_inputs(), recorded before the solver's rotations moved from
-# numpy rows to Python lists
+# solver_golden_inputs(), recorded when the rotations ran on numpy rows:
+# running them on Python lists must not move a bit.
 SOLVER_GOLDEN_SHA256 = "43fbfeeaea38e660fcc58509bbe226402bac26d6a164eec969c0d66c3353ee40"
 
 
