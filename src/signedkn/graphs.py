@@ -64,6 +64,13 @@ class Tree:
         object.__setattr__(self, "n", n)
         edges = frozenset(_norm_edge(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
+        # checked before anything of size n is built, so a huge n read
+        # from outside costs nothing
+        if len(edges) != self.n - 1:
+            raise InvariantViolationError(
+                f"tree on {self.n} vertices needs {self.n - 1} edges, "
+                f"got {len(edges)}"
+            )
         nbs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -72,11 +79,6 @@ class Tree:
                 )
             nbs[u].append(v)
             nbs[v].append(u)
-        if len(edges) != self.n - 1:
-            raise InvariantViolationError(
-                f"tree on {self.n} vertices needs {self.n - 1} edges, "
-                f"got {len(edges)}"
-            )
         adj = tuple(tuple(sorted(nb)) for nb in nbs)
         order, parent = _bfs_order(adj, 0)
         if len(order) != self.n:

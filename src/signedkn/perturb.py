@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     StaleEigenvectorError,
 )
-from .graphs import SignedCompleteGraph, Tree, _bfs_order, _vertex, canonical_code
+from .graphs import SignedCompleteGraph, Tree, _bfs_order, _vertex
 from .spectra import adjacency_matrix, residual, tree_eigs_above, tree_index
 # Nothing here calls eigen_decompose; perfbench's restore test checks this binding
 # (test_traced_run_reports_every_layer_metric_and_restores_the_package).
@@ -234,28 +234,19 @@ def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]
     trace.  A zero pivot, or a solve that contradicts its count, raises
     InvariantViolationError.
 
-    Each tree class (canonical code) is decided at most once per climb,
-    and the climb is the one a scan solving every candidate would make: a
-    rejected class has λ1 at most thr exactly, counts do not depend on the
-    labelling, and thr only rises.  An accepted candidate is always a new
-    class, solved on its own labelling, so the trace's λ1 bits are
-    unchanged.
+    The count decides λ1 > thr exactly, so the trace is the one a climb
+    that solves every candidate would make.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     current = start
     lam = tree_index(current)
-    seen = {canonical_code(current)}
     trace: list[ClimbStep] = []
     while len(trace) < max_steps:
         thr = lam + IMPROVE_TOL
         if thr.is_integer():
             thr = math.nextafter(thr, math.inf)
         for move, new_tree in _candidate_moves(current):
-            code = canonical_code(new_tree)
-            if code in seen:
-                continue
-            seen.add(code)
             above = tree_eigs_above(new_tree, thr)
             if above is None:
                 raise InvariantViolationError(f"count met a zero pivot at {thr!r}")

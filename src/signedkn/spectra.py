@@ -10,8 +10,8 @@ first, so each pivot costs O(1).  tree_eigs_above counts the eigenvalues
 above a rational x exactly, in Python integers with one exact division per
 vertex, as in Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
 tree_indices finds λ1 of a stack of same-size trees by multisection on the
-float counts, all trees and points at once.  tree_index, spectrum_of and top_eigenvector
-solve one matrix by Jacobi.
+float counts, all trees and points at once.  tree_index, spectrum_of and
+top_eigenvector solve one matrix by Jacobi.
 """
 
 from __future__ import annotations

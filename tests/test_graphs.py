@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,19 @@ def test_edge_list_rejects_a_repeated_edge(second):
     # would parse as the path 0-1-2
     with pytest.raises(MalformedInputError, match=r"repeated edge \(0, 1\)"):
         parse_edge_list(f"3\n0 1\n{second}\n1 2\n")
+
+
+def test_edge_list_with_a_huge_n_fails_before_allocating():
+    # the edge count is checked before the n neighbour lists are built, so
+    # a first line of 10**6 with one edge costs no memory of size n
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInputError, match="needs 999999 edges"):
+            parse_edge_list("1000000\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_prufer_text_roundtrip():
