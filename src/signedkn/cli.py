@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .balance import bipartition, find_negative_triangle
-from .errors import SignedKnError
+from .errors import MalformedInputError, SignedKnError
 from .graphs import (
     PruferSequence,
     Tree,
@@ -125,7 +125,11 @@ def _build_parser() -> _Parser:
 def _load_tree(args) -> Tree:
     if args.prufer is not None:
         return prufer_decode(parse_prufer(args.prufer))
-    return parse_edge_list(Path(args.edges).read_text())
+    try:
+        text = Path(args.edges).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"edge list {args.edges} is not UTF-8: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def _csv(header: list[str], rows) -> str:

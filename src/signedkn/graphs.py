@@ -53,7 +53,7 @@ class Tree:
     endpoints in range, connected (which together with the edge count
     implies acyclic).  What that check builds is kept outside the fields
     that eq, hash and repr see: the neighbour lists as _adj, for
-    adjacency(), and the _bfs_order walk from 0 as _walk = (order, parent).
+    adjacency(), and the _bfs_order walk from 0 as _walk = (order, up).
     """
 
     n: int
@@ -80,11 +80,11 @@ class Tree:
             nbs[u].append(v)
             nbs[v].append(u)
         adj = tuple(tuple(sorted(nb)) for nb in nbs)
-        order, parent = _bfs_order(adj, 0)
+        order, up = _bfs_order(adj, 0)
         if len(order) != self.n:
             raise InvariantViolationError("edge set is not connected")
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_walk", (order, parent))
+        object.__setattr__(self, "_walk", (order, up))
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbours of each vertex, sorted ascending: adjacency()[v] is
@@ -236,47 +236,43 @@ def random_tree_with_leaf_count(n: int, k: int, rng: random.Random) -> Tree:
 
 
 def _bfs_order(adj: Sequence[Sequence[int]], root: int):
-    """Breadth-first order from root and each vertex's parent (-1 for the
-    root and for vertices root cannot reach, which order leaves out)."""
-    parent = [-1] * len(adj)
-    order = [root]
-    parent[root] = root
-    for v in order:
+    """Breadth-first order from root, neighbours as adj lists them, and up,
+    where up[i] is the position in order of order[i]'s parent: up[0] = -1
+    and up[i] < i.  order leaves out the vertices root cannot reach."""
+    seen = [False] * len(adj)
+    seen[root] = True
+    order, up = [root], [-1]
+    for i, v in enumerate(order):
         for w in adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
+            if not seen[w]:
+                seen[w] = True
                 order.append(w)
-    parent[root] = -1
-    return order, parent
+                up.append(i)
+    return order, up
 
 
 def _centroids(t: Tree) -> list[int]:
     """The one or two vertices minimising the largest component left by
     their removal (subtree-size centroid, not the path center)."""
     n = t.n
-    adj = t.adjacency()
-    order, parent = t._walk
+    order, up = t._walk
     size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    out = []
-    for v in range(n):
-        biggest = max([n - size[v]] + [size[w] for w in adj[v] if parent[w] == v])
-        if biggest <= n // 2:
-            out.append(v)
-    return out
+    biggest = [0] * n  # largest child subtree
+    for i in range(n - 1, 0, -1):
+        p = up[i]
+        size[p] += size[i]
+        biggest[p] = max(biggest[p], size[i])
+    return [order[i] for i in range(n) if max(biggest[i], n - size[i]) <= n // 2]
 
 
 def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
-    order, parent = _bfs_order(adj, root)
-    code: list[str] = [""] * len(adj)
-    for v in reversed(order):
-        kids = sorted(
-            (code[w] for w in adj[v] if parent[w] == v), key=lambda c: (len(c), c)
-        )
-        code[v] = "1" + "".join(kids) + "0"
-    return code[root]
+    order, up = _bfs_order(adj, root)
+    kids: list[list[str]] = [[] for _ in order]
+    for i in range(len(order) - 1, -1, -1):
+        code = "1" + "".join(sorted(kids[i], key=lambda c: (len(c), c))) + "0"
+        if i:
+            kids[up[i]].append(code)
+    return code
 
 
 def canonical_code(t: Tree) -> str:

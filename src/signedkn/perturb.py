@@ -198,13 +198,14 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
     deg = t.degrees()
     labels = []
     for c in range(n):
-        _, parent = _bfs_order(t.adjacency(), c)
-        for d in range(c + 1, n):
-            if parent[d] == c:  # cd is already an edge
+        order, up = _bfs_order(t.adjacency(), c)
+        for i, d in enumerate(order):
+            if d <= c or up[i] == 0:  # each pair once; cd already an edge
                 continue
-            b = d  # walked up to c, so a = parent[b] is the end nearer c
-            while b != c:
-                a = parent[b]
+            j, b = i, d  # walked up to c at position 0, so a is the end nearer c
+            while j:
+                j = up[j]
+                a = order[j]
                 if a == c:
                     if (deg[b] == 2) == (deg[d] == 1):
                         labels.append((c, d, b))

@@ -214,23 +214,11 @@ def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
     return eigen_decompose(adjacency_matrix(g))
 
 
-def _leaves_first(t: Tree) -> list[int]:
-    """Parent position of each vertex of t, the vertices numbered by their
-    position in t's breadth-first walk from vertex 0 (-1 for the root).
-    Every parent comes before its children, so eliminating positions n-1
-    down to 0 takes each vertex after all of its children: leaves first."""
-    order, parent = t._walk
-    pos = [0] * t.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return [-1] + [pos[parent[v]] for v in order[1:]]
-
-
 def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Whether λ1 > x for each tree and each x of xs, a (b, m) array, from
     the float pivots of tree_eigs_above's bordered matrix.  parents is the
-    (b, n) stack of the trees' _leaves_first arrays; each elimination step
-    runs on one position of every tree at every point at once.
+    (b, n) stack of the trees' walk parents, Tree._walk[1]; each elimination
+    step runs on one position of every tree at every point at once.
 
     A pivot that is exactly 0.0 becomes _ZERO_PIVOT, so it counts as
     negative and leaves its parent a huge positive pivot: the inertia of
@@ -284,7 +272,7 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
     if not trees:
         return []
     n = trees[0].n
-    parents = np.array([_leaves_first(t) for t in trees])
+    parents = np.array([t._walk[1] for t in trees])
     rows = np.arange(len(trees))
     lo = np.full(len(trees), (n - 1) * (n - 4) / n - 1.0)
     hi = np.full(len(trees), float(n))
@@ -333,7 +321,7 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
         num, den = Fraction(x).as_integer_ratio()
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"x must be finite, got {x!r}") from exc
-    order, parent = t._walk
+    up = t._walk[1]
     n = t.n
     four_q2, two_q = 4 * den * den, 2 * den
     piv = [-(den + num)] * n  # T
@@ -341,13 +329,13 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     prod = [1] * n  # E
     took = [0] * n  # R
     above = 0
-    for v in reversed(order):
+    for v in range(n - 1, -1, -1):
         tv, ev, sv = piv[v], prod[v], bord[v]
         if tv == 0:
             return None
         above += (tv > 0) == (ev > 0)
         uv = (sv * sv + tv * took[v]) // ev
-        p = parent[v]
+        p = up[v]
         if p >= 0:
             ep = prod[p]
             piv[p] = piv[p] * tv - four_q2 * ev * ep

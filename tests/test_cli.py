@@ -489,6 +489,15 @@ def test_missing_edge_file(capsys):
     assert run(["spectrum", "--edges", "/nonexistent/tree.txt"]) == 1
 
 
+def test_edge_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "tree.txt"
+    p.write_bytes(b"\xff\xfe3\x000\x001\x00")
+    assert run(["spectrum", "--edges", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: edge list {p} is not UTF-8: ")
+
+
 def test_enumeration_out_of_supported_range(capsys):
     assert run(["enumerate", "--n", "99"]) == 1
 

@@ -21,6 +21,7 @@ from signedkn import (
     build_path,
     build_star,
     canonical_code,
+    enumerate_tree_classes,
     format_edge_list,
     format_prufer,
     leaf_count,
@@ -32,6 +33,7 @@ from signedkn import (
     random_tree_with_leaf_count,
     signed_complete_from_tree,
 )
+from signedkn.graphs import _centroids
 
 
 def labeled_trees(min_n=2, max_n=10):
@@ -137,6 +139,48 @@ def test_tree_keeps_its_walk_outside_the_fields():
     assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
     assert "_walk" not in repr(t)
     assert t._walk[0][0] == 0 and sorted(t._walk[0]) == list(range(7))
+
+
+def classes_and_relabellings(max_n=10, seed=22):
+    """Every class with n <= max_n, each with a seeded random relabelling."""
+    rng = random.Random(seed)
+    for n in range(2, max_n + 1):
+        for t in enumerate_tree_classes(n).values():
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield t
+            yield t.relabel(perm)
+
+
+def test_walk_is_breadth_first_by_positions():
+    for t in classes_and_relabellings():
+        n = t.n
+        order, up = t._walk
+        assert order[0] == 0 and sorted(order) == list(range(n))
+        assert up[0] == -1 and all(0 <= up[i] < i for i in range(1, n))
+        assert {tuple(sorted((order[i], order[up[i]]))) for i in range(1, n)} == t.edges
+        # breadth first: parents in order, each one's children ascending
+        for i in range(2, n):
+            assert (up[i - 1], order[i - 1]) < (up[i], order[i]), (t, i)
+
+
+def test_centroids_leave_no_component_above_half():
+    for t in classes_and_relabellings():
+        n, adj = t.n, t.adjacency()
+        want = []
+        for v in range(n):
+            biggest = 0
+            seen = {v}
+            for w in adj[v]:
+                part = [w]
+                seen.add(w)
+                for x in part:
+                    part += [y for y in adj[x] if y not in seen]
+                    seen.update(adj[x])
+                biggest = max(biggest, len(part))
+            if biggest <= n // 2:
+                want.append(v)
+        assert sorted(_centroids(t)) == want, t
 
 
 def test_tree_too_small():

@@ -24,6 +24,7 @@ from signedkn import (
     SignedCompleteGraph,
     Spectrum,
     SymMatrix,
+    Tree,
     adjacency_matrix,
     build_broom,
     build_double_star,
@@ -42,7 +43,7 @@ from signedkn import (
     tree_index,
     tree_indices,
 )
-from signedkn import spectra
+from signedkn import search, spectra
 from signedkn.cli import run
 from signedkn.spectra import JACOBI_REL_TOL
 
@@ -534,7 +535,7 @@ def test_tree_indices_through_zero_pivots():
     # at x = -1 every leaf pivot is exactly 0.0; λ1 > 0 on every class
     for n in range(2, 11):
         trees = list(enumerate_tree_classes(n).values())
-        parents = np.array([spectra._leaves_first(t) for t in trees])
+        parents = np.array([t._walk[1] for t in trees])
         assert all(tree_eigs_above(t, -1) is None for t in trees)
         assert spectra._above(parents, np.full((len(trees), 3), -1.0)).all(), n
     # λ1 exactly n - 1 for the star and 2s - 1 for S(s, s), s >= 2 (a
@@ -545,6 +546,28 @@ def test_tree_indices_through_zero_pivots():
         assert tree_eigs_above(t, proved) is None
         lam = tree_indices([t])[0]
         assert abs(lam - proved) <= 8 * math.ulp(proved), (t.n, lam)
+
+
+def test_above_reads_generator_parent_arrays_as_walks():
+    # _free_trees' arrays have the walk's form, up[i] < i, so _above gives
+    # on them the answers it gives on the Tree walks of the same classes,
+    # at every point more than 1e-9 from every eigenvalue
+    checked = 0
+    for n in range(2, 12):
+        ups = list(search._free_trees(n))
+        trees = [Tree(n, frozenset(zip(range(1, n), up[1:]))) for up in ups]
+        mats = [adjacency_matrix(signed_complete_from_tree(t)).entries for t in trees]
+        eigs = np.array([numpy_eigenvalues(a) for a in mats])
+        lam = eigs[:, :1]
+        grid = np.linspace((n - 1) * (n - 4) / n - 1.0, n, 96)
+        xs = np.c_[np.tile(grid, (len(trees), 1)), lam - 1e-8, lam + 1e-8]
+        far = (np.abs(xs[:, :, None] - eigs[:, None, :]) > 1e-9).all(axis=2)
+        from_arrays = spectra._above(np.array(ups), xs)
+        from_trees = spectra._above(np.array([t._walk[1] for t in trees]), xs)
+        assert (from_arrays == from_trees)[far].all(), n
+        assert (from_arrays == (lam > xs))[far].all(), n
+        checked += far.sum()
+    assert checked > 40000
 
 
 def test_tree_indices_need_one_n():
