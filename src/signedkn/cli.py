@@ -126,7 +126,7 @@ def _load_tree(args) -> Tree:
     if args.prufer is not None:
         return prufer_decode(parse_prufer(args.prufer))
     try:
-        text = Path(args.edges).read_text(encoding="utf-8")
+        text = Path(args.edges).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"edge list {args.edges} is not UTF-8: {exc}") from exc
     return parse_edge_list(text)
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         payload = {f: v for f, v in vars(r).items() if f != "classes"}
         payload["classes"] = [vars(c) for c in r.classes]
         return code, json.dumps(payload) + "\n"
-    prufers = [format_prufer(PruferSequence(r.n, c.prufer)) for c in r.classes]
+    prufers = [format_prufer(PruferSequence(c.prufer)) for c in r.classes]
     if args.format == "csv":
         header = ["n", "k", "canonical_code", "prufer", "leaf_count", "lambda1", "is_argmax"]
         rows = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DomainError, InvariantViolationError, MalformedInputError
@@ -49,39 +49,35 @@ def _norm_edge(e) -> tuple[int, int]:
 class Tree:
     """A labelled tree on vertices 0..n-1, stored as a frozenset of edges.
 
-    Construction validates the full invariant set: exactly n-1 edges, all
-    endpoints in range, connected (which together with the edge count
-    implies acyclic).  What that check builds is kept outside the fields
-    that eq, hash and repr see: the neighbour lists as _adj, for
-    adjacency(), and the _bfs_order walk from 0 as _walk = (order, up).
+    Tree(edges) reads n = len(edges) + 1.  Construction checks that there
+    is an edge, that all endpoints are in range, and that the edges connect
+    (which together with the edge count implies acyclic).  What that check
+    builds is kept outside the fields that eq, hash and repr see: the
+    neighbour lists as _adj, for adjacency(), and the _bfs_order walk from
+    0 as _walk = (order, up).
     """
 
-    n: int
+    n: int = field(init=False)
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        n = _vertex_count(self.n, "tree needs an integer n >= 2")
-        object.__setattr__(self, "n", n)
         edges = frozenset(_norm_edge(e) for e in self.edges)
+        if not edges:
+            raise DomainError("tree needs at least one edge")
+        n = len(edges) + 1
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        # checked before anything of size n is built, so a huge n read
-        # from outside costs nothing
-        if len(edges) != self.n - 1:
-            raise InvariantViolationError(
-                f"tree on {self.n} vertices needs {self.n - 1} edges, "
-                f"got {len(edges)}"
-            )
-        nbs: list[list[int]] = [[] for _ in range(self.n)]
+        nbs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise InvariantViolationError(
-                    f"edge ({u}, {v}) out of range for n={self.n}"
+                    f"edge ({u}, {v}) out of range for n={n}"
                 )
             nbs[u].append(v)
             nbs[v].append(u)
         adj = tuple(tuple(sorted(nb)) for nb in nbs)
         order, up = _bfs_order(adj, 0)
-        if len(order) != self.n:
+        if len(order) != n:
             raise InvariantViolationError("edge set is not connected")
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_walk", (order, up))
@@ -101,28 +97,25 @@ class Tree:
         """Apply the vertex permutation old -> perm[old]."""
         if sorted(perm) != list(range(self.n)):
             raise DomainError("perm must be a permutation of 0..n-1")
-        return Tree(self.n, frozenset((perm[u], perm[v]) for u, v in self.edges))
+        return Tree(frozenset((perm[u], perm[v]) for u, v in self.edges))
 
 
 @dataclass(frozen=True)
 class PruferSequence:
-    """A Prufer code: n-2 symbols, each a vertex label of the target tree."""
+    """A Prufer code: n-2 symbols, each a vertex label of the target tree;
+    PruferSequence(symbols) reads n = len(symbols) + 2."""
 
-    n: int
+    n: int = field(init=False)
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        n = _vertex_count(self.n, "Prufer sequence needs n >= 2")
-        object.__setattr__(self, "n", n)
         symbols = tuple(_vertex(s, MalformedInputError) for s in self.symbols)
+        n = len(symbols) + 2
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbols", symbols)
-        if len(symbols) != self.n - 2:
-            raise MalformedInputError(
-                f"expected {self.n - 2} symbols for n={self.n}, got {len(symbols)}"
-            )
         for s in symbols:
-            if not 0 <= s < self.n:
-                raise MalformedInputError(f"symbol {s} out of range for n={self.n}")
+            if not 0 <= s < n:
+                raise MalformedInputError(f"symbol {s} out of range for n={n}")
 
 
 def prufer_decode(seq: PruferSequence) -> Tree:
@@ -143,7 +136,7 @@ def prufer_decode(seq: PruferSequence) -> Tree:
     u = heapq.heappop(heap)
     v = heapq.heappop(heap)
     edges.append((u, v))
-    return Tree(n, frozenset(edges))
+    return Tree(frozenset(edges))
 
 
 def prufer_encode(t: Tree) -> PruferSequence:
@@ -161,7 +154,7 @@ def prufer_encode(t: Tree) -> PruferSequence:
         adj[leaf].clear()
         if len(adj[nb]) == 1:
             heapq.heappush(heap, nb)
-    return PruferSequence(n, tuple(out))
+    return PruferSequence(tuple(out))
 
 
 def leaf_count(t: Tree) -> int:
@@ -173,14 +166,14 @@ def build_star(n: int) -> Tree:
     """Star with centre 0 and leaves 1..n-1."""
     if n < 2:
         raise DomainError(f"star needs n >= 2, got {n}")
-    return Tree(n, frozenset((0, v) for v in range(1, n)))
+    return Tree(frozenset((0, v) for v in range(1, n)))
 
 
 def build_path(n: int) -> Tree:
     """Path 0-1-...-(n-1)."""
     if n < 2:
         raise DomainError(f"path needs n >= 2, got {n}")
-    return Tree(n, frozenset((v, v + 1) for v in range(n - 1)))
+    return Tree(frozenset((v, v + 1) for v in range(n - 1)))
 
 
 def build_double_star(a: int, b: int) -> Tree:
@@ -191,7 +184,7 @@ def build_double_star(a: int, b: int) -> Tree:
     edges = [(0, 1)]
     edges += [(0, v) for v in range(2, a + 2)]
     edges += [(1, v) for v in range(a + 2, n)]
-    return Tree(n, frozenset(edges))
+    return Tree(frozenset(edges))
 
 
 def build_broom(n: int, k: int) -> Tree:
@@ -204,7 +197,7 @@ def build_broom(n: int, k: int) -> Tree:
     _check_leaf_count(n, k)
     edges = [(0, v) for v in range(1, min(k + 1, n))]
     edges += [(v, v + 1) for v in range(k, n - 1)]
-    return Tree(n, frozenset(edges))
+    return Tree(frozenset(edges))
 
 
 def random_tree(n: int, rng: random.Random) -> Tree:
@@ -212,7 +205,7 @@ def random_tree(n: int, rng: random.Random) -> Tree:
     if n < 2:
         raise DomainError(f"random tree needs n >= 2, got {n}")
     symbols = tuple(rng.randrange(n) for _ in range(n - 2))
-    return prufer_decode(PruferSequence(n, symbols))
+    return prufer_decode(PruferSequence(symbols))
 
 
 def _check_leaf_count(n: int, k: int) -> None:
@@ -232,7 +225,7 @@ def random_tree_with_leaf_count(n: int, k: int, rng: random.Random) -> Tree:
     interior = rng.sample(range(n), n - k)
     symbols = list(interior) + [rng.choice(interior) for _ in range(k - 2)]
     rng.shuffle(symbols)
-    return prufer_decode(PruferSequence(n, tuple(symbols)))
+    return prufer_decode(PruferSequence(tuple(symbols)))
 
 
 def _bfs_order(adj: Sequence[Sequence[int]], root: int):
@@ -344,8 +337,17 @@ def parse_edge_list(text: str) -> Tree:
         if edge in edges:
             raise MalformedInputError(f"repeated edge {edge} in {ln!r}")
         edges.add(edge)
+    if n < 2:
+        raise MalformedInputError(
+            f"edge list is not a tree: tree needs an integer n >= 2, got {n}"
+        )
+    if len(edges) != n - 1:
+        raise MalformedInputError(
+            f"edge list is not a tree: tree on {n} vertices needs {n - 1} edges, "
+            f"got {len(edges)}"
+        )
     try:
-        return Tree(n, frozenset(edges))
+        return Tree(edges)
     except (DomainError, InvariantViolationError) as exc:
         raise MalformedInputError(f"edge list is not a tree: {exc}") from exc
 
@@ -360,12 +362,12 @@ def parse_prufer(text: str) -> PruferSequence:
     """Parse a comma-separated Prufer code; empty input means n=2."""
     stripped = text.strip()
     if not stripped:
-        return PruferSequence(2, ())
+        return PruferSequence(())
     try:
         symbols = tuple(int(p.strip()) for p in stripped.split(","))
     except ValueError:
         raise MalformedInputError(f"bad Prufer string {text!r}")
-    return PruferSequence(len(symbols) + 2, symbols)
+    return PruferSequence(symbols)
 
 
 def format_prufer(seq: PruferSequence) -> str:

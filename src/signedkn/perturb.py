@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,25 +43,22 @@ IMPROVE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RotationMove:
-    """kind "type_i" with vertices (r, s, t), or "type_ii" with (r, s, t, u).
+    """kind "type_i" with vertices (r, s, t), or "type_ii" with (r, s, t, u);
+    RotationMove(vertices) reads kind from the number of vertices.
 
     The move reverses the positive edge rs together with the negative edge
     rt (type_i) or tu (type_ii).
     """
 
-    kind: str
+    kind: str = field(init=False)
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown rotation kind {self.kind!r}")
         verts = tuple(_vertex(v, DomainError) for v in self.vertices)
+        if len(verts) not in (3, 4):
+            raise DomainError(f"a move needs 3 or 4 vertices, got {len(verts)}")
+        object.__setattr__(self, "kind", KINDS[len(verts) - 3])
         object.__setattr__(self, "vertices", verts)
-        want = 3 if self.kind == "type_i" else 4
-        if len(verts) != want:
-            raise DomainError(
-                f"{self.kind} needs {want} vertices, got {len(verts)}"
-            )
         if len(set(verts)) != len(verts):
             raise DomainError(f"move vertices must be distinct, got {verts}")
 
@@ -216,8 +213,8 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
                     labels.append((c, d, a, b))
                 b = a
     for verts in sorted(labels):
-        move = RotationMove("type_i" if len(verts) == 3 else "type_ii", verts)
-        yield move, Tree(n, (t.edges - {move.negative_edge}) | {move.positive_edge})
+        move = RotationMove(verts)
+        yield move, Tree((t.edges - {move.negative_edge}) | {move.positive_edge})
 
 
 def hill_climb(start: Tree, max_steps: int = 500) -> tuple[Tree, list[ClimbStep]]:

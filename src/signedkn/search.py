@@ -203,7 +203,7 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
             first.setdefault(key, start + i)
     reps: dict[str, Tree] = {}
     for key, i in sorted(first.items(), key=lambda item: item[1]):
-        t = prufer_decode(PruferSequence(n, _block_symbols(n, i, i + 1)[0]))
+        t = prufer_decode(PruferSequence(_block_symbols(n, i, i + 1)[0]))
         rooted = _rooted_code(t.adjacency(), n - 1)
         if rooted != format(key, "b"):
             raise InvariantViolationError(
@@ -298,7 +298,7 @@ def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
         # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
         if k is not None and n - len(set(parent[1:])) + (parent.count(0) == 1) != k:
             continue
-        trees.append(Tree(n, frozenset(zip(range(1, n), parent[1:]))))
+        trees.append(Tree(frozenset(zip(range(1, n), parent[1:]))))
     if count != FREE_TREE_COUNTS[n]:
         raise InvariantViolationError(
             f"free-tree generation for n={n} produced {count} classes, "

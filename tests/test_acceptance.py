@@ -67,7 +67,7 @@ def _random_move(t, rnd, kind):
         ]
     if not options:
         return None
-    return RotationMove(kind, rnd.choice(options))
+    return RotationMove(rnd.choice(options))
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +302,7 @@ def test_criterion_10_unbalanced_index_and_audits(classes_of, verified_range):
     audits_ok = True
     for (n, k), r in sorted(_fill_verified(verified_range).items()):
         arg = next(c for c in r.classes if c.is_argmax)
-        t = prufer_decode(PruferSequence(n, arg.prufer))
+        t = prufer_decode(PruferSequence(arg.prufer))
         audits_ok = audits_ok and structural_audit(t).passed
     ok = worst > 1.0 and audits_ok and balance_as_expected
     _line(

@@ -210,7 +210,7 @@ def test_switch_rejects_non_integer_labels():
 def test_switch_is_involution(args):
     n, bits, raw = args
     g = signed_complete_from_tree(
-        prufer_decode(PruferSequence(n, tuple(b % n for b in bits)))
+        prufer_decode(PruferSequence(tuple(b % n for b in bits)))
     )
     u = {x % n for x in raw}
     assert switch(switch(g, u), u) == g

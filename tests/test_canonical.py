@@ -37,7 +37,7 @@ def test_code_shape():
 
 
 def test_known_small_codes():
-    assert canonical_code(prufer_decode(PruferSequence(2, ()))) == "1100"
+    assert canonical_code(prufer_decode(PruferSequence(()))) == "1100"
     assert canonical_code(build_path(4)) == "11011000"
     assert canonical_code(build_star(4)) == "11010100"
 
@@ -83,7 +83,7 @@ def test_bicentroid_consistency():
 )
 def test_relabel_invariance(args):
     n, bits, rng = args
-    t = prufer_decode(PruferSequence(n, tuple(b % n for b in bits)))
+    t = prufer_decode(PruferSequence(tuple(b % n for b in bits)))
     perm = list(range(n))
     rng.shuffle(perm)
     assert canonical_code(t) == canonical_code(t.relabel(tuple(perm)))
@@ -93,5 +93,5 @@ def test_exhaustive_class_collapse_n5():
     # every labeled tree on 5 vertices lands on one of exactly 3 codes
     codes = set()
     for symbols in itertools.product(range(5), repeat=3):
-        codes.add(canonical_code(prufer_decode(PruferSequence(5, symbols))))
+        codes.add(canonical_code(prufer_decode(PruferSequence(symbols))))
     assert len(codes) == 3

@@ -498,6 +498,16 @@ def test_edge_file_that_is_not_utf8(tmp_path, capsys):
     assert captured.err.startswith(f"error: edge list {p} is not UTF-8: ")
 
 
+def test_edge_file_with_a_byte_order_mark(tmp_path, capsys):
+    p = tmp_path / "tree.txt"
+    p.write_text("4\n0 1\n1 2\n2 3\n", encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(["spectrum", "--edges", str(p)]) == 0
+    from_edges = capsys.readouterr()
+    assert run(["spectrum", "--prufer", "1,2"]) == 0
+    assert from_edges == capsys.readouterr()
+
+
 def test_enumeration_out_of_supported_range(capsys):
     assert run(["enumerate", "--n", "99"]) == 1
 

@@ -34,6 +34,7 @@ from signedkn import (
     signed_complete_from_tree,
 )
 from signedkn.graphs import _centroids
+from signedkn.perturb import KINDS, _candidate_moves
 
 
 def labeled_trees(min_n=2, max_n=10):
@@ -42,7 +43,7 @@ def labeled_trees(min_n=2, max_n=10):
     def decode(args):
         n, bits = args
         symbols = tuple(b % n for b in bits)
-        return prufer_decode(PruferSequence(n, symbols))
+        return prufer_decode(PruferSequence(symbols))
 
     return (
         st.integers(min_n, max_n)
@@ -60,40 +61,35 @@ def labeled_trees(min_n=2, max_n=10):
 
 
 def test_tree_normalizes_edge_orientation():
-    t = Tree(3, frozenset({(1, 0), (2, 1)}))
+    t = Tree(frozenset({(1, 0), (2, 1)}))
     assert t.edges == frozenset({(0, 1), (1, 2)})
-
-
-def test_tree_rejects_wrong_edge_count():
-    with pytest.raises(InvariantViolationError):
-        Tree(4, frozenset({(0, 1), (1, 2)}))
 
 
 def test_tree_rejects_cycle():
     with pytest.raises(InvariantViolationError):
-        Tree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
+        Tree(frozenset({(0, 1), (1, 2), (0, 2)}))
 
 
 def test_tree_rejects_disconnected():
     # right edge count, but a cycle plus an isolated vertex
     with pytest.raises(InvariantViolationError):
-        Tree(5, frozenset({(0, 1), (1, 2), (0, 2), (3, 4)}))
+        Tree(frozenset({(0, 1), (1, 2), (0, 2), (3, 4)}))
 
 
 def test_tree_rejects_self_loop_and_range():
     with pytest.raises(InvariantViolationError):
-        Tree(3, frozenset({(0, 0), (1, 2)}))
+        Tree(frozenset({(0, 0), (1, 2)}))
     with pytest.raises(InvariantViolationError):
-        Tree(3, frozenset({(0, 1), (1, 3)}))
+        Tree(frozenset({(0, 1), (1, 3)}))
 
 
 # int() would truncate each 1.5 to 1 (the first builds the path 0-1-2)
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: Tree(3, frozenset({(0, 1.5), (1, 2)})), InvariantViolationError),
+        (lambda: Tree(frozenset({(0, 1.5), (1, 2)})), InvariantViolationError),
         (lambda: SignedCompleteGraph(3, frozenset({(0, 1.5)})), InvariantViolationError),
-        (lambda: PruferSequence(4, (1.5, 2)), MalformedInputError),
+        (lambda: PruferSequence((1.5, 2)), MalformedInputError),
     ],
     ids=["Tree", "SignedCompleteGraph", "PruferSequence"],
 )
@@ -103,22 +99,18 @@ def test_non_integer_labels_are_rejected(build, error):
 
 
 def test_numpy_integer_labels_are_accepted():
-    t = Tree(3, frozenset({(np.int64(0), np.int64(1)), (1, np.int32(2))}))
+    t = Tree(frozenset({(np.int64(0), np.int64(1)), (1, np.int32(2))}))
     assert t == build_path(3)
     assert all(type(v) is int for e in t.edges for v in e)
-    assert PruferSequence(4, tuple(np.array([1, 2]))).symbols == (1, 2)
+    assert PruferSequence(tuple(np.array([1, 2]))).symbols == (1, 2)
 
 
 # n is read like a vertex label: any integer type, but not a float or a
 # string, and at least 2
 @pytest.mark.parametrize(
     "build",
-    [
-        lambda n: Tree(n, frozenset({(0, 1), (1, 2)})),
-        lambda n: PruferSequence(n, (1,)),
-        lambda n: SignedCompleteGraph(n, frozenset({(0, 2)})),
-    ],
-    ids=["Tree", "PruferSequence", "SignedCompleteGraph"],
+    [lambda n: SignedCompleteGraph(n, frozenset({(0, 2)}))],
+    ids=["SignedCompleteGraph"],
 )
 def test_numpy_integer_n_is_accepted(build):
     for n in (np.int64(3), np.int32(3), np.uint8(3)):
@@ -134,7 +126,7 @@ def test_numpy_integer_n_is_accepted(build):
 def test_tree_keeps_its_walk_outside_the_fields():
     assert [f.name for f in dataclasses.fields(Tree)] == ["n", "edges"]
     t = build_broom(7, 3)
-    u = Tree(7, t.edges)
+    u = Tree(t.edges)
     object.__setattr__(u, "_walk", ([], []))
     assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
     assert "_walk" not in repr(t)
@@ -164,6 +156,15 @@ def test_walk_is_breadth_first_by_positions():
             assert (up[i - 1], order[i - 1]) < (up[i], order[i]), (t, i)
 
 
+def test_sizes_and_kinds_are_read_from_the_data():
+    for t in classes_and_relabellings():
+        assert Tree(t.edges) == t and t.n == len(t.edges) + 1
+        assert PruferSequence(prufer_encode(t).symbols).n == t.n
+        for move, exchanged in _candidate_moves(t):
+            assert move.kind == KINDS[len(move.vertices) - 3]
+            assert exchanged.n == t.n
+
+
 def test_centroids_leave_no_component_above_half():
     for t in classes_and_relabellings():
         n, adj = t.n, t.adjacency()
@@ -185,7 +186,7 @@ def test_centroids_leave_no_component_above_half():
 
 def test_tree_too_small():
     with pytest.raises(DomainError):
-        Tree(1, frozenset())
+        Tree(frozenset())
 
 
 def test_degrees_and_leaves():
@@ -210,44 +211,37 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_decode_two_vertices():
-    t = prufer_decode(PruferSequence(2, ()))
+    t = prufer_decode(PruferSequence(()))
     assert t.edges == frozenset({(0, 1)})
 
 
 def test_decode_star_sequence():
-    t = prufer_decode(PruferSequence(5, (0, 0, 0)))
+    t = prufer_decode(PruferSequence((0, 0, 0)))
     assert t == build_star(5)
 
 
 def test_decode_path_example():
-    t = prufer_decode(PruferSequence(4, (1, 2)))
+    t = prufer_decode(PruferSequence((1, 2)))
     assert t.edges == frozenset({(0, 1), (1, 2), (2, 3)})
 
 
 def test_encode_known_trees():
     assert prufer_encode(build_star(5)).symbols == (0, 0, 0)
     assert prufer_encode(build_path(4)).symbols == (1, 2)
-    assert prufer_encode(prufer_decode(PruferSequence(2, ()))).symbols == ()
-
-
-def test_sequence_length_validation():
-    with pytest.raises(MalformedInputError):
-        PruferSequence(4, (1,))
-    with pytest.raises(MalformedInputError):
-        PruferSequence(4, (1, 2, 3))
+    assert prufer_encode(prufer_decode(PruferSequence(()))).symbols == ()
 
 
 def test_sequence_symbol_range():
     with pytest.raises(MalformedInputError):
-        PruferSequence(4, (1, 4))
+        PruferSequence((1, 4))
     with pytest.raises(MalformedInputError):
-        PruferSequence(4, (-1, 0))
+        PruferSequence((-1, 0))
 
 
 def test_roundtrip_exhaustive_small():
     for n in range(2, 7):
         for symbols in itertools.product(range(n), repeat=n - 2):
-            seq = PruferSequence(n, symbols)
+            seq = PruferSequence(symbols)
             assert prufer_encode(prufer_decode(seq)) == seq
 
 
@@ -260,7 +254,7 @@ def test_leaf_count_formula_exhaustive():
     # leaves are exactly the labels missing from the sequence
     for n in range(3, 8):
         for symbols in itertools.product(range(n), repeat=n - 2):
-            t = prufer_decode(PruferSequence(n, symbols))
+            t = prufer_decode(PruferSequence(symbols))
             assert leaf_count(t) == n - len(set(symbols))
 
 
@@ -326,7 +320,7 @@ def test_random_tree_with_leaf_count_hits_target():
 
 
 def test_the_one_edge_tree_has_two_leaves():
-    assert build_broom(2, 2) == Tree(2, frozenset({(0, 1)}))
+    assert build_broom(2, 2) == Tree(frozenset({(0, 1)}))
     assert leaf_count(build_broom(2, 2)) == 2
     assert random_tree_with_leaf_count(2, 2, random.Random(0)) == build_broom(2, 2)
     for k in (1, 3):
@@ -372,6 +366,12 @@ def test_edge_list_malformed(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize("text", ["1\n", "1\n0 1\n", "-3\n0 1\n"])
+def test_edge_list_declaring_fewer_than_two_vertices(text):
+    with pytest.raises(MalformedInputError, match="tree needs an integer n >= 2, got"):
+        parse_edge_list(text)
+
+
 @pytest.mark.parametrize("second", ["1 0", "0 1"])
 def test_edge_list_rejects_a_repeated_edge(second):
     # a Tree keeps an edge set, so without the check "3 / 0 1 / 1 0 / 1 2"
@@ -394,10 +394,10 @@ def test_edge_list_with_a_huge_n_fails_before_allocating():
 
 
 def test_prufer_text_roundtrip():
-    seq = PruferSequence(6, (0, 3, 3, 1))
+    seq = PruferSequence((0, 3, 3, 1))
     assert parse_prufer(format_prufer(seq)) == seq
-    assert parse_prufer("") == PruferSequence(2, ())
-    assert parse_prufer(" 1 , 2 ") == PruferSequence(4, (1, 2))
+    assert parse_prufer("") == PruferSequence(())
+    assert parse_prufer(" 1 , 2 ") == PruferSequence((1, 2))
 
 
 @pytest.mark.parametrize("text", ["a,b", "1,,2", "1 2", "-1,0"])

@@ -17,12 +17,17 @@ One output owner: among the package modules only `cli.py` may import
 
 One solver owner: among the package modules only `spectra.py` may name
 `JACOBI_REL_TOL`, so the solver's stopping rule stays behind one module.
+
+Test tooling: under the suite's warning filters a failing hypothesis test
+is reported as one failure, and the tests after it still run.
 """
 
 import ast
 import importlib
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +309,32 @@ def test_readme_examples_parse_cuts_and_wrapped_json():
         (["verify", "--n", "6", "--k", "3", "--format", "text"], ["first"], True),
         (["spectrum", "--prufer", ""], ['{"a": 1,', ' "b": 2}'], False),
     ]
+
+
+FAILING_GIVEN = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    # hypothesis's failure report imports libcst, whose import warns; under
+    # filterwarnings = ["error"] that warning would end the run as an
+    # INTERNALERROR before test_after
+    (tmp_path / "test_given.py").write_text(FAILING_GIVEN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

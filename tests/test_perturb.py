@@ -67,72 +67,69 @@ def random_move(t, rnd, kind):
         ]
     if not options:
         return None
-    return RotationMove(kind, rnd.choice(options))
+    return RotationMove(rnd.choice(options))
 
 
 # ------------------------------------------------------------- moves
 
 
 def test_move_edge_properties():
-    m1 = RotationMove("type_i", (2, 0, 4))
+    m1 = RotationMove((2, 0, 4))
     assert m1.positive_edge == (0, 2)
     assert m1.negative_edge == (2, 4)
-    m2 = RotationMove("type_ii", (3, 1, 5, 0))
+    m2 = RotationMove((3, 1, 5, 0))
     assert m2.positive_edge == (1, 3)
     assert m2.negative_edge == (0, 5)
 
 
 def test_move_validation():
+    for verts in ((0, 1), (0, 1, 2, 3, 4)):
+        with pytest.raises(DomainError, match="3 or 4 vertices"):
+            RotationMove(verts)
     with pytest.raises(DomainError):
-        RotationMove("type_iii", (0, 1, 2))
-    with pytest.raises(DomainError):
-        RotationMove("type_i", (0, 1, 2, 3))
-    with pytest.raises(DomainError):
-        RotationMove("type_ii", (0, 1, 2))
-    with pytest.raises(DomainError):
-        RotationMove("type_i", (0, 1, 1))
+        RotationMove((0, 1, 1))
 
 
 def test_move_rejects_non_integer_labels():
     # int() would truncate 0.9 to 0 and give the move (0, 2, 3)
     with pytest.raises(DomainError):
-        RotationMove("type_i", (0.9, 2, 3))
+        RotationMove((0.9, 2, 3))
     with pytest.raises(DomainError):
-        RotationMove("type_i", ("0", 2, 3))
-    move = RotationMove("type_ii", tuple(np.arange(4)))
+        RotationMove(("0", 2, 3))
+    move = RotationMove(tuple(np.arange(4)))
     assert move.vertices == (0, 1, 2, 3)
     assert all(type(v) is int for v in move.vertices)
 
 
 def test_apply_rotation_path4():
     g = signed_complete_from_tree(build_path(4))
-    h = apply_rotation(g, RotationMove("type_i", (1, 3, 0)))
+    h = apply_rotation(g, RotationMove((1, 3, 0)))
     assert h.negative_edges == frozenset({(1, 2), (2, 3), (1, 3)})
 
 
 def test_apply_rotation_type_ii():
     g = signed_complete_from_tree(build_path(5))
-    h = apply_rotation(g, RotationMove("type_ii", (0, 2, 3, 4)))
+    h = apply_rotation(g, RotationMove((0, 2, 3, 4)))
     assert h.negative_edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 2)})
 
 
 def test_apply_rotation_inverse_restores():
     g = signed_complete_from_tree(build_path(5))
-    h = apply_rotation(g, RotationMove("type_i", (1, 3, 0)))
-    back = apply_rotation(h, RotationMove("type_i", (1, 0, 3)))
+    h = apply_rotation(g, RotationMove((1, 3, 0)))
+    back = apply_rotation(h, RotationMove((1, 0, 3)))
     assert back == g
 
 
 def test_apply_rotation_pattern_errors():
     g = signed_complete_from_tree(build_path(4))
     with pytest.raises(PreconditionError) as e1:
-        apply_rotation(g, RotationMove("type_i", (0, 1, 2)))
+        apply_rotation(g, RotationMove((0, 1, 2)))
     assert e1.value.edge == (0, 1)
     with pytest.raises(PreconditionError) as e2:
-        apply_rotation(g, RotationMove("type_i", (0, 2, 3)))
+        apply_rotation(g, RotationMove((0, 2, 3)))
     assert e2.value.edge == (0, 3)
     with pytest.raises(DomainError):
-        apply_rotation(g, RotationMove("type_i", (0, 2, 9)))
+        apply_rotation(g, RotationMove((0, 2, 9)))
 
 
 @given(
@@ -147,7 +144,7 @@ def test_apply_rotation_pattern_errors():
 )
 def test_apply_rotation_changes_exactly_two_edges(args):
     n, bits, rng, kind = args
-    t = prufer_decode(PruferSequence(n, tuple(b % n for b in bits)))
+    t = prufer_decode(PruferSequence(tuple(b % n for b in bits)))
     move = random_move(t, rng, kind)
     if move is None:
         return
@@ -212,7 +209,7 @@ def test_check_precondition_star_unsatisfied():
     g = signed_complete_from_tree(build_star(6))
     top = top_eigenvector(g)
     # r and s are leaves (positive entries), t is the flipped center
-    report = check_precondition(g, RotationMove("type_i", (1, 2, 0)), top.vector)
+    report = check_precondition(g, RotationMove((1, 2, 0)), top.vector)
     assert not report.satisfied
     assert not report.strict
     assert not top.degenerate
@@ -225,7 +222,7 @@ def test_check_precondition_scale_invariant():
     # scaling is exact, so the report must not change in a single bit
     g = signed_complete_from_tree(build_path(6))
     x = top_eigenvector(g).vector
-    for m in (RotationMove("type_i", (1, 3, 0)), RotationMove("type_i", (0, 2, 1))):
+    for m in (RotationMove((1, 3, 0)), RotationMove((0, 2, 1))):
         report = check_precondition(g, m, x)
         for factor in (8.0, 2.0**600, 2.0**-600):
             assert check_precondition(g, m, factor * x) == report
@@ -233,7 +230,7 @@ def test_check_precondition_scale_invariant():
 
 def test_check_precondition_rejects_stale_vector():
     g = signed_complete_from_tree(build_path(6))
-    m = RotationMove("type_i", (1, 3, 0))
+    m = RotationMove((1, 3, 0))
     with pytest.raises(StaleEigenvectorError) as exc:
         check_precondition(g, m, np.ones(6))
     assert exc.value.residual > 1e-8
@@ -249,7 +246,7 @@ def test_check_precondition_rejects_a_non_finite_vector(bad):
     # normalised, such a vector has NaN entries, and a NaN residual is
     # neither above nor below the tolerance; no numpy warning comes first
     g = signed_complete_from_tree(build_path(6))
-    m = RotationMove("type_i", (1, 3, 0))
+    m = RotationMove((1, 3, 0))
     x = top_eigenvector(g).vector
     for vec in (np.full(6, bad), np.where(np.arange(6) == 2, bad, x)):
         with pytest.raises(StaleEigenvectorError) as exc:
@@ -274,7 +271,7 @@ def test_check_precondition_makes_no_eigensolve(monkeypatch):
     g = signed_complete_from_tree(build_path(6))
     top = top_eigenvector(g)
     assert len(calls) == 1
-    check_precondition(g, RotationMove("type_i", (1, 3, 0)), top.vector)
+    check_precondition(g, RotationMove((1, 3, 0)), top.vector)
     assert len(calls) == 1
 
 
@@ -282,7 +279,7 @@ def test_check_precondition_accepts_other_graphs_vector_if_fresh():
     # a vector is judged by its residual on this graph, not by origin
     g1 = signed_complete_from_tree(build_path(6))
     g2 = signed_complete_from_tree(build_star(6))
-    m = RotationMove("type_i", (1, 3, 0))
+    m = RotationMove((1, 3, 0))
     with pytest.raises(StaleEigenvectorError):
         check_precondition(g1, m, top_eigenvector(g2).vector)
 
@@ -293,7 +290,7 @@ def test_degenerate_top_flagged():
     top = top_eigenvector(g)
     assert top.degenerate
     # any vector of the top eigenspace passes the residual check
-    check_precondition(g, RotationMove("type_i", (0, 2, 1)), top.vector)
+    check_precondition(g, RotationMove((0, 2, 1)), top.vector)
 
 
 def test_satisfied_move_never_lowers_lambda1():
@@ -336,7 +333,7 @@ def _exchange_oracle(t):
             edges = (t.edges - {e}) | {f}
             g = nx.Graph(list(edges))
             g.add_nodes_from(range(n))
-            if nx.is_tree(g) and leaf_count(Tree(n, edges)) == k:
+            if nx.is_tree(g) and leaf_count(Tree(edges)) == k:
                 out.add(edges)
     return out
 
@@ -380,7 +377,7 @@ def test_broom_is_fixed_point():
 
 def test_climb_spider_to_broom():
     # legs (1,2,2) is the only other 3-leaf class on 6 vertices
-    spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
+    spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
     tree, trace = hill_climb(spider)
     assert canonical_code(tree) == canonical_code(build_broom(6, 3))
     assert len(trace) >= 1
@@ -396,8 +393,8 @@ def test_climb_trace_replay():
         g = signed_complete_from_tree(start)
         lam = spectrum_of(g).lambda1
         for step in trace:
-            g = apply_rotation(g, RotationMove(step.kind, step.vertices))
-            t = Tree(n, g.negative_edges)  # must still be a spanning tree
+            g = apply_rotation(g, RotationMove(step.vertices))
+            t = Tree(g.negative_edges)  # must still be a spanning tree
             assert leaf_count(t) == k
             new_lam = spectrum_of(g).lambda1
             assert new_lam > lam + IMPROVE_TOL
@@ -524,7 +521,7 @@ def test_climb_moves_an_integer_threshold_to_the_next_float(monkeypatch):
 
 
 def test_climb_deterministic():
-    start = Tree(7, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)}))
+    start = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)}))
     t1, tr1 = hill_climb(start)
     t2, tr2 = hill_climb(start)
     assert t1 == t2

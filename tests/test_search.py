@@ -72,7 +72,7 @@ def test_prufer_route_matches_generation():
     for n in (6, 7):
         first: dict[str, tuple[int, ...]] = {}
         for symbols in sorted(itertools.product(range(n), repeat=n - 2)):
-            code = canonical_code(prufer_decode(PruferSequence(n, symbols)))
+            code = canonical_code(prufer_decode(PruferSequence(symbols)))
             first.setdefault(code, symbols)
         reps = enumerate_tree_classes(n, method="prufer")
         assert len(reps) == len(first) == FREE_TREE_COUNTS[n]
@@ -92,7 +92,7 @@ def test_prufer_kernel_agrees_with_scalar_codec():
         parent = search._peel(symbols, n)
         keys = search._rooted_keys(parent)
         for row, up, key in zip(symbols.tolist(), parent.tolist(), keys.tolist()):
-            t = prufer_decode(PruferSequence(n, row))
+            t = prufer_decode(PruferSequence(row))
             assert {(min(v, p), max(v, p)) for v, p in enumerate(up) if v != p} == t.edges
             assert format(key, "b") == _rooted_code(t.adjacency(), n - 1)
         # one key per rooted class: the rooted-tree counts (OEIS A000081)
@@ -107,9 +107,8 @@ def test_prufer_kernel_depths_at_the_jumping_round_boundaries():
         spine = (n + 1) // 2
         trees = [
             build_path(n),
-            Tree(n, frozenset((v, n - 1) for v in range(n - 1))),
+            Tree(frozenset((v, n - 1) for v in range(n - 1))),
             Tree(
-                n,
                 frozenset(
                     [(v, v + 1) for v in range(spine - 1)]
                     + [(v - spine, v) for v in range(spine, n)]
@@ -266,7 +265,7 @@ def test_verify_records_consistent():
     best = max(r.classes, key=lambda c: c.lambda1)
     assert best.canonical_code == r.argmax_code
     for c in r.classes:
-        t = prufer_decode(PruferSequence(r.n, c.prufer))
+        t = prufer_decode(PruferSequence(c.prufer))
         assert canonical_code(t) == c.canonical_code
         assert leaf_count(t) == c.leaf_count == r.k
         assert tree_index(t) == pytest.approx(c.lambda1, abs=1e-12)
@@ -352,7 +351,7 @@ def test_hill_climb_solves_one_tree_at_a_time(monkeypatch):
 
     monkeypatch.setattr(spectra, "eigen_decompose", counted)
     monkeypatch.setattr(spectra, "_above", no_stack)
-    spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
+    spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
     _, trace = hill_climb(spider)
     assert len(trace) >= 1
     assert len(sizes) > len(trace) and set(sizes) == {6}
@@ -448,7 +447,7 @@ def test_audit_balanced_double_star_fails():
 
 def test_audit_spider_fails_pendant_check():
     # legs (1, 2, 2): hub degree 3 = k but only one pendant neighbour
-    spider = Tree(6, frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
+    spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
     rec = structural_audit(spider)
     assert rec.applicable
     assert rec.max_degree_is_k
@@ -523,4 +522,4 @@ def test_tree_index_permutation_invariant():
 def test_prufer_encode_of_reps_round_trips(classes_of):
     for t in classes_of(7):
         seq = prufer_encode(t)
-        assert prufer_decode(PruferSequence(7, seq.symbols)) == t
+        assert prufer_decode(PruferSequence(seq.symbols)) == t

@@ -63,7 +63,7 @@ def random_signed_adjacency(n, rnd):
 
 def random_tree_graph(n, rnd):
     symbols = tuple(rnd.randrange(n) for _ in range(n - 2))
-    return signed_complete_from_tree(prufer_decode(PruferSequence(n, symbols)))
+    return signed_complete_from_tree(prufer_decode(PruferSequence(symbols)))
 
 
 # ---------------------------------------------------------------- basics
@@ -462,7 +462,7 @@ def trees_and_points(draw):
     a Fraction with a denominator up to 10**40, or a subnormal float."""
     n = draw(st.integers(2, 60))
     symbols = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-    t = prufer_decode(PruferSequence(n, tuple(symbols)))
+    t = prufer_decode(PruferSequence(tuple(symbols)))
     x = draw(
         st.one_of(
             st.floats(-2.0 * n - 1.0, float(n)),
@@ -555,7 +555,7 @@ def test_above_reads_generator_parent_arrays_as_walks():
     checked = 0
     for n in range(2, 12):
         ups = list(search._free_trees(n))
-        trees = [Tree(n, frozenset(zip(range(1, n), up[1:]))) for up in ups]
+        trees = [Tree(frozenset(zip(range(1, n), up[1:]))) for up in ups]
         mats = [adjacency_matrix(signed_complete_from_tree(t)).entries for t in trees]
         eigs = np.array([numpy_eigenvalues(a) for a in mats])
         lam = eigs[:, :1]
