@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -331,6 +332,13 @@ _PARSER = _build_parser()
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with '-' and is not a plain number
+    # for an option, and no option here starts with '-' and a digit; written
+    # '--prufer=-1,0', the code reaches parse_prufer, which names its fault
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--prufer" and re.match(r"-\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"--prufer={argv[i]}"]
     try:
         args = _PARSER.parse_args(argv)
     except _UsageError as exc:

@@ -8,13 +8,16 @@ Two independent enumeration routes are kept deliberately:
       (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
       numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
       at a time, one leaf-peel step per symbol position, which roots each
-      tree at n-1, and keys each row by its AHU code rooted there, an
-      integer whose binary digits are _rooted_code's string.  Depths below
-      n-1 come from ceil(log2(n-1)) rounds of pointer jumping, and one sort
-      of the block's depths makes each level of the code a slice.  Only the
-      first sequence of each rooted class goes through the scalar
-      prufer_decode, whose rooted code must agree with the kernel, and
-      canonical_code, which merges the rooted classes into free ones;
+      tree at n-1, and keys each row by its Matula number rooted there
+      (D. W. Matula, "A natural rooted tree enumeration by prime
+      factorization", SIAM Rev. 10, 1968): 1 for a lone vertex, else the
+      product of the m-th primes over the children, m a child's number.
+      Two rooted trees have equal numbers exactly when they are isomorphic,
+      and a product ignores child order, so the peel multiplies each number
+      up as it goes.  Only the first sequence of each rooted class goes
+      through the scalar prufer_decode, whose _matula must agree with the
+      kernel, and canonical_code, which merges the rooted classes into free
+      ones;
   (b) canonical free-tree generation for all n <= 12: an in-house
       generator of the level sequences of Wright, Richmond, Odlyzko and
       McKay yields one parent array per free tree, and leaf counts are
@@ -31,6 +34,7 @@ The results are plain dataclasses and lists; cli formats them for output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +43,8 @@ from .errors import DomainError, InvariantViolationError
 from .graphs import (
     PruferSequence,
     Tree,
+    _bfs_order,
     _check_leaf_count,
-    _rooted_code,
     build_broom,
     build_double_star,
     canonical_code,
@@ -83,6 +87,23 @@ CHAIN_GAP_TOL = 1e-9
 PRUFER_BLOCK = 2048
 
 
+def _primes_to(limit: int) -> np.ndarray:
+    """The primes up to limit, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+# _PRIME[m] is the m-th prime, the factor that a child of Matula number m
+# puts on its parent (_PRIME[0] is never read).  A child in a tree rooted at
+# n-1 heads at most MAX_PRUFER_N - 1 = 8 vertices, the largest Matula number
+# of a rooted tree that small is 2221, and the 2221st prime is 19577.
+_PRIME = np.concatenate(([0], _primes_to(19577)))
+
+
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the base-n order of all Prufer sequences, as
     itertools.product(range(n), repeat=n-2) lists them: row i spells i in
@@ -96,19 +117,20 @@ def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
 def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
     """Decode a block of Prufer rows together, one leaf-peel step per
     symbol position, taking the smallest degree-1 vertex as prufer_decode
-    does.
+    does, and return each row's Matula number rooted at n-1.
 
-    parent[r, v] is v's neighbour toward n-1 in row r's tree, and n-1 is
-    its own parent."""
+    A vertex is peeled only once all its neighbours but the one toward n-1
+    are gone, each of them multiplied into its number as it was peeled, so
+    its number is complete when it joins its parent."""
     b, m = symbols.shape
     rows = np.arange(b)
     deg = np.ones((b, n), np.int32)
     for j in range(m):
         deg[rows, symbols[:, j]] += 1
-    parent = np.full((b, n), n - 1, np.int32)
+    num = np.ones((b, n), np.int64)
 
     def join(leaf, p):
-        parent[rows, leaf] = p
+        num[rows, p] *= _PRIME[num[rows, leaf]]
         deg[rows, leaf] = 0
         deg[rows, p] -= 1
 
@@ -122,72 +144,27 @@ def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
         raise InvariantViolationError(
             f"Prufer peel at n={n} did not end on two leaves, one of them {n - 1}"
         )
-    return parent
+    return num[:, n - 1]
 
 
-def _rooted_keys(parent: np.ndarray) -> np.ndarray:
-    """The AHU code of each row's tree rooted at n-1, as the integer whose
-    binary digits are _rooted_code's '1'/'0' string (2n <= 18 bits).
-    parent is rooted at n-1, as _peel returns it.
-
-    A code starts with '1', so ordering codes by (length, string), as
-    _rooted_code sorts children, is ordering the integers.  Children are
-    joined level by level, deepest first."""
-    b, n = parent.shape
-    # Vertex v of row r is r*n + v in the flat arrays below.
-    base = np.arange(0, b * n, n)[:, None]
-    up = (base + parent).ravel()
-    # Depth below n-1 by pointer jumping (Wyllie): after round i, jump is
-    # the ancestor 2**i levels up, or the root, and depth the distance to
-    # it, so ceil(log2(n-1)) rounds reach the root from every depth < n.
-    depth = np.ones(b * n, np.int32)
-    depth[n - 1 :: n] = 0
-    jump = up
-    for _ in range((n - 2).bit_length()):
-        depth += depth[jump]
-        jump = jump[jump]
-    if not (jump.reshape(b, n) == base + (n - 1)).all():
-        raise InvariantViolationError(
-            f"not all {n} vertices are reached from {n - 1} within {n - 1} levels"
-        )
-    # One sort, deepest first: each level is a slice of it, and the root
-    # (depth 0) is last.
-    order = np.argsort(-depth, kind="stable")
-    bounds = np.cumsum(np.bincount(depth)[::-1]).tolist()
-    code = np.full(b * n, 2, np.int32)  # a leaf is "10"
-    length = np.full(b * n, 2, np.int32)
-    for lo, hi in zip([0, *bounds], bounds[:-1]):
-        at = order[lo:hi]
-        group = up[at]
-        kid = code[at]
-        # np.unique sorts with this kind too, and one kind keeps less numpy
-        # code resident; the order of equal keys (equal children) is moot
-        by = np.argsort((group << 2 * n) | kid, kind="stable")
-        group, kid, kid_len = group[by], kid[by], length[at][by]
-        # edge[i]: sorted position i starts a parent's children (i < len)
-        # or ends the previous parent's (i > 0)
-        edge = np.ones(len(group) + 1, bool)
-        np.not_equal(group[1:], group[:-1], out=edge[1:-1])
-        first = np.flatnonzero(edge[:-1])
-        last = np.flatnonzero(edge[1:])
-        ends = np.cumsum(kid_len)
-        # each child is shifted past its later siblings
-        shift = np.repeat(ends[last], last - first + 1) - ends
-        joined = np.add.reduceat(kid << shift, first)
-        total = np.add.reduceat(kid_len, first)
-        pv = group[first]
-        code[pv] = (1 << (total + 1)) | (joined << 1)
-        length[pv] = total + 2
-    return code[n - 1 :: n].astype(np.int64)
+def _matula(adj, root: int) -> int:
+    """Matula's number of the tree adj rooted at root: 1 for one vertex,
+    else the product of _PRIME[m] over the root's children, m the child's
+    number."""
+    order, up = _bfs_order(adj, root)
+    num = [1] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        num[up[i]] *= int(_PRIME[num[i]])
+    return num[0]
 
 
 def _classes_by_prufer(n: int) -> dict[str, Tree]:
     """Decode every sequence in base-n order, PRUFER_BLOCK rows at a time,
-    key each row by its tree's code rooted at n-1, and keep the first row
-    seen for each key.
+    key each row by its tree's Matula number rooted at n-1, and keep the
+    first row seen for each key.
 
     Rooted-isomorphic trees are isomorphic, so only these rooted classes
-    go through the scalar prufer_decode, whose _rooted_code must spell the
+    go through the scalar prufer_decode, whose _matula must equal the
     key.  Walked in row order, they keep the first tree per canonical_code,
     which is then the first sequence of its free class."""
     if n > MAX_PRUFER_N:
@@ -198,17 +175,17 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
     first: dict[int, int] = {}
     for start in range(0, total, PRUFER_BLOCK):
         symbols = _block_symbols(n, start, min(start + PRUFER_BLOCK, total))
-        uniq, at = np.unique(_rooted_keys(_peel(symbols, n)), return_index=True)
+        uniq, at = np.unique(_peel(symbols, n), return_index=True)
         for key, i in zip(uniq.tolist(), at.tolist()):
             first.setdefault(key, start + i)
     reps: dict[str, Tree] = {}
     for key, i in sorted(first.items(), key=lambda item: item[1]):
         t = prufer_decode(PruferSequence(_block_symbols(n, i, i + 1)[0]))
-        rooted = _rooted_code(t.adjacency(), n - 1)
-        if rooted != format(key, "b"):
+        number = _matula(t.adjacency(), n - 1)
+        if number != key:
             raise InvariantViolationError(
-                f"Prufer kernel key {format(key, 'b')} of row {i} at n={n} "
-                f"differs from its code rooted at {n - 1}, {rooted}"
+                f"Prufer kernel key {key} of row {i} at n={n} differs from "
+                f"its Matula number rooted at {n - 1}, {number}"
             )
         reps.setdefault(canonical_code(t), t)
     if len(reps) != FREE_TREE_COUNTS[n]:

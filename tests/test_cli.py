@@ -413,6 +413,10 @@ STDOUT_SHA256 = {
         "csv": "4995d87540150e4df9db1892ab2deaef3a6e44fa9fa9b0222c580ecbd138562f",
         "text": "202076c82474433fb6ddffc6327e74bab8edbd349129ca6d3f56d701214446f4",
     },
+    ("enumerate", "--n", "8", "--method", "prufer"): {
+        "json": "7f34baddc4b031cb027779b243b704736c7b04c026da3f2d9536ce3ce681b2ba",
+        "csv": "2383c2685cf09c83e0eeeb528821244bd7852aef19e4fad881e9c28152fafe65",
+    },
     ("spectrum", "--prufer", "1,2"): {
         "json": "1b08125958a061f200274139eb2985958b0b84894f00a440a461b6ee61f4fcaa",
         "text": "4c9d5da5adf9d26a145228f7074af6390bcf6d310d524f6c469d79be63397660",
@@ -445,6 +449,14 @@ def test_stdout_golden(capsys, call, fmt):
     assert run([*call, "--format", fmt]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == STDOUT_SHA256[call][fmt]
+
+
+def test_prufer_route_stdout_golden_at_n9(capsys):
+    # the largest Prufer enumeration, pinned once: STDOUT_SHA256 would also
+    # run it through --out
+    assert run(["enumerate", "--n", "9", "--method", "prufer"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "370957071d42dd51985617171a62232a333fb58891fd7c0a7d9eb673978bdb48"
 
 
 @pytest.mark.parametrize("call", list(STDOUT_SHA256), ids=_call_id)
@@ -483,6 +495,17 @@ def test_conflicting_tree_inputs(capsys):
 def test_bad_prufer_symbol(capsys):
     assert run(["spectrum", "--prufer", "5,5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["spectrum", "balance"])
+def test_prufer_code_with_a_minus_sign(capsys, cmd):
+    # argparse alone takes '-1,0' for an option and reports a missing value
+    assert run([cmd, "--prufer", "-1,0"]) == 1
+    assert capsys.readouterr().err == "error: symbol -1 out of range for n=4\n"
+    # a missing value and a following option stay usage errors
+    for argv in ([cmd, "--prufer"], [cmd, "--prufer", "--edges", "f"]):
+        assert run(argv) == 1
+        assert "--prufer: expected one argument" in capsys.readouterr().err
 
 
 def test_missing_edge_file(capsys):

@@ -7,6 +7,7 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+import sympy
 
 from signedkn import (
     DomainError,
@@ -82,27 +83,25 @@ def test_prufer_route_matches_generation():
 
 
 def test_prufer_kernel_agrees_with_scalar_codec():
-    # every row at n = 4..7: the block decode gives prufer_decode's edges,
-    # and the integer key spells the scalar code rooted at n-1
+    # every row at n = 4..7: the block decode's key is the scalar decode's
+    # Matula number rooted at n-1
     for n in range(4, 8):
         symbols = search._block_symbols(n, 0, n ** (n - 2))
         assert symbols.tolist() == [
             list(s) for s in itertools.product(range(n), repeat=n - 2)
         ]
-        parent = search._peel(symbols, n)
-        keys = search._rooted_keys(parent)
-        for row, up, key in zip(symbols.tolist(), parent.tolist(), keys.tolist()):
+        keys = search._peel(symbols, n)
+        for row, key in zip(symbols.tolist(), keys.tolist()):
             t = prufer_decode(PruferSequence(row))
-            assert {(min(v, p), max(v, p)) for v, p in enumerate(up) if v != p} == t.edges
-            assert format(key, "b") == _rooted_code(t.adjacency(), n - 1)
+            assert key == search._matula(t.adjacency(), n - 1)
         # one key per rooted class: the rooted-tree counts (OEIS A000081)
         assert len(set(keys.tolist())) == {4: 4, 5: 9, 6: 20, 7: 48}[n]
 
 
-def test_prufer_kernel_depths_at_the_jumping_round_boundaries():
-    # the path ending at n-1 is the deepest tree rooted there (depth n-1,
-    # which ceil(log2(n-1)) jumping rounds just reach), the star centred at
-    # n-1 the shallowest; one caterpillar, rooted at a leaf, lies between
+def test_prufer_kernel_on_the_deepest_and_shallowest_rooted_trees():
+    # the path ending at n-1 is the deepest tree rooted there, whose number
+    # nests a prime n-1 times, the star centred at n-1 the shallowest; one
+    # caterpillar, rooted at a leaf, lies between
     for n in range(2, 10):
         spine = (n + 1) // 2
         trees = [
@@ -116,22 +115,28 @@ def test_prufer_kernel_depths_at_the_jumping_round_boundaries():
             ),
         ]
         symbols = np.array([prufer_encode(t).symbols for t in trees])
-        keys = search._rooted_keys(search._peel(symbols.reshape(3, n - 2), n))
+        keys = search._peel(symbols.reshape(3, n - 2), n)
         for t, key in zip(trees, keys.tolist()):
-            assert format(key, "b") == _rooted_code(t.adjacency(), n - 1), (n, t)
+            assert key == search._matula(t.adjacency(), n - 1), (n, t)
 
 
-def test_prufer_kernel_raises_on_a_cycle_below_a_deep_path():
-    # n = 9 takes three jumping rounds; the path row needs all of them, and
-    # the row whose 3 -> 4 -> 5 -> 3 cycle hangs below 0 -> 1 -> 2 never
-    # reaches the root 8, so only the block with that row raises
-    path = search._peel(np.array([prufer_encode(build_path(9)).symbols]), 9)
-    cycle = np.array([[1, 2, 3, 4, 5, 3, 8, 8, 8]])
-    assert format(search._rooted_keys(path)[0], "b") == _rooted_code(
-        build_path(9).adjacency(), 8
-    )
-    with pytest.raises(InvariantViolationError, match="not all 9 vertices"):
-        search._rooted_keys(np.concatenate([path, cycle]))
+def test_matula_numbers_match_rooted_codes_up_to_eight_vertices(classes_of):
+    # all 199 rooted trees on 2..8 vertices: every generated class rooted at
+    # every vertex; each rooted code has one number and each number one code
+    pairs = set()
+    for n in range(2, 9):
+        for t in classes_of(n):
+            adj = t.adjacency()
+            for root in range(n):
+                pairs.add((_rooted_code(adj, root), search._matula(adj, root)))
+    codes, numbers = zip(*pairs)
+    assert len(pairs) == len(set(codes)) == len(set(numbers)) == 199
+    # a child in a tree rooted at MAX_PRUFER_N - 1 heads at most 8 vertices,
+    # so _PRIME must reach the largest number here
+    assert search.MAX_PRUFER_N - 1 == 8
+    assert max(numbers) == 2221
+    assert len(search._PRIME) > 2221
+    assert search._PRIME[1:].tolist() == list(sympy.primerange(2, 19578))
 
 
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
@@ -157,13 +162,10 @@ def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
     # one symbol short: three degree-1 vertices are left after the peel
     with pytest.raises(InvariantViolationError):
         search._peel(np.array([[0, 1]]), 5)
-    # vertices 0 and 1 point at each other and never reach the root 3
-    with pytest.raises(InvariantViolationError):
-        search._rooted_keys(np.array([[1, 0, 3, 3]]))
-    # a representative whose scalar rooted code disagrees with its key
+    # a representative whose scalar Matula number disagrees with its key
     with monkeypatch.context() as m:
-        m.setattr(search, "_rooted_code", lambda adj, root: "10")
-        with pytest.raises(InvariantViolationError, match="differs from its code"):
+        m.setattr(search, "_matula", lambda adj, root: 1)
+        with pytest.raises(InvariantViolationError, match="differs from its Matula"):
             enumerate_tree_classes(5, method="prufer")
     # canonical codes that merge every rooted class leave too few classes
     monkeypatch.setattr(search, "canonical_code", lambda t: "10")
