@@ -48,10 +48,8 @@ from .perturb import (
 from .search import (
     AuditRecord,
     ClassRecord,
-    EnumerationCrossCheck,
     FREE_TREE_COUNTS,
     SearchReport,
-    cross_check_enumeration,
     double_star_chain,
     enumerate_tree_classes,
     structural_audit,

@@ -335,10 +335,12 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value that starts with '-' and is not a plain number
     # for an option, and no option here starts with '-' and a digit; written
-    # '--prufer=-1,0', the code reaches parse_prufer, which names its fault
+    # '--prufer=-1,0', the code reaches parse_prufer, which names its fault.
+    # argparse also takes any prefix of --prufer longer than '--' for it.
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--prufer" and re.match(r"-\d", argv[i]):
-            argv[i - 1 : i + 1] = [f"--prufer={argv[i]}"]
+        opt = argv[i - 1]
+        if len(opt) > 2 and "--prufer".startswith(opt) and re.match(r"-\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{opt}={argv[i]}"]
     try:
         args = _PARSER.parse_args(argv)
     except _UsageError as exc:

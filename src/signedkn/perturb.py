@@ -4,8 +4,10 @@ spanning-tree negative sets with a fixed leaf count.
 A type_i move picks a positive edge rs and a negative edge rt sharing the
 vertex r and reverses both signs.  A type_ii move does the same for a
 positive edge rs and a negative edge tu with all four vertices distinct.
-Under eigenvector-entry preconditions these moves never decrease the index,
-which is what the climb exploits.
+Under eigenvector-entry preconditions these moves never decrease the index;
+check_precondition evaluates them.  The climb does not rely on them: it keeps
+a leaf-preserving exchange only when an exact tree_eigs_above count shows
+that λ1 rose.
 """
 
 from __future__ import annotations

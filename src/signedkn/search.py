@@ -25,9 +25,9 @@ Two independent enumeration routes are kept deliberately:
       classes a caller keeps.
 
 enumerate_tree_classes(n, method, k) is the one entry to both routes, with
-or without a leaf count k.  The routes' agreement is part of the
-acceptance suite; class counts are pinned against the known free-tree
-counting sequence.
+or without a leaf count k.  Each route checks its class count against
+FREE_TREE_COUNTS, the free-tree counting sequence, which ends at MAX_N.
+The routes agree when their code lists do; the acceptance suite checks it.
 
 The results are plain dataclasses and lists; cli formats them for output.
 """
@@ -73,7 +73,7 @@ FREE_TREE_COUNTS = {
     12: 551,
 }
 
-MAX_N = 12
+MAX_N = max(FREE_TREE_COUNTS)
 MAX_PRUFER_N = 9
 
 # Two classes within this of the maximum λ1 count as tied.
@@ -102,6 +102,15 @@ def _primes_to(limit: int) -> np.ndarray:
 # n-1 heads at most MAX_PRUFER_N - 1 = 8 vertices, the largest Matula number
 # of a rooted tree that small is 2221, and the 2221st prime is 19577.
 _PRIME = np.concatenate(([0], _primes_to(19577)))
+
+
+def _check_class_count(route: str, n: int, count: int) -> None:
+    """Raise unless route found FREE_TREE_COUNTS[n] classes on n vertices."""
+    if count != FREE_TREE_COUNTS[n]:
+        raise InvariantViolationError(
+            f"{route} for n={n} produced {count} classes, "
+            f"expected {FREE_TREE_COUNTS[n]}"
+        )
 
 
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
@@ -188,11 +197,7 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
                 f"its Matula number rooted at {n - 1}, {number}"
             )
         reps.setdefault(canonical_code(t), t)
-    if len(reps) != FREE_TREE_COUNTS[n]:
-        raise InvariantViolationError(
-            f"Prufer enumeration for n={n} produced {len(reps)} classes, "
-            f"expected {FREE_TREE_COUNTS[n]}"
-        )
+    _check_class_count("Prufer enumeration", n, len(reps))
     return reps
 
 
@@ -276,11 +281,7 @@ def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
         if k is not None and n - len(set(parent[1:])) + (parent.count(0) == 1) != k:
             continue
         trees.append(Tree(frozenset(zip(range(1, n), parent[1:]))))
-    if count != FREE_TREE_COUNTS[n]:
-        raise InvariantViolationError(
-            f"free-tree generation for n={n} produced {count} classes, "
-            f"expected {FREE_TREE_COUNTS[n]}"
-        )
+    _check_class_count("free-tree generation", n, count)
     reps = {canonical_code(t): t for t in trees}
     if len(reps) != len(trees):
         raise InvariantViolationError(
@@ -314,26 +315,6 @@ def enumerate_tree_classes(
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
     return dict(sorted(reps.items()))
-
-
-@dataclass(frozen=True)
-class EnumerationCrossCheck:
-    """Outcome of running both enumeration routes on the same n."""
-
-    n: int
-    count_generation: int
-    count_prufer: int
-    codes_equal: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.codes_equal and self.count_generation == self.count_prufer
-
-
-def cross_check_enumeration(n: int) -> EnumerationCrossCheck:
-    gen = enumerate_tree_classes(n, method="generate")
-    pru = enumerate_tree_classes(n, method="prufer")
-    return EnumerationCrossCheck(n, len(gen), len(pru), list(gen) == list(pru))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from signedkn import (
     build_star,
     canonical_code,
     check_precondition,
-    cross_check_enumeration,
     double_star_chain,
     eigen_decompose,
     enumerate_tree_classes,
@@ -245,12 +244,12 @@ def test_criterion_07_eigensolver_quality():
 
 def test_criterion_08_enumeration_cross_check():
     counts = {}
-    all_ok = True
+    ok = True
     for n in range(2, 10):
-        chk = cross_check_enumeration(n)
-        counts[n] = chk.count_generation
-        all_ok = all_ok and chk.ok and chk.count_generation == FREE_TREE_COUNTS[n]
-    ok = all_ok
+        codes = list(enumerate_tree_classes(n))
+        counts[n] = len(codes)
+        ok &= list(enumerate_tree_classes(n, method="prufer")) == codes
+        ok &= len(codes) == FREE_TREE_COUNTS[n]
     _line(
         8,
         "Prufer dedupe and canonical generation agree for n <= 9",

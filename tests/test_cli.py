@@ -508,6 +508,16 @@ def test_prufer_code_with_a_minus_sign(capsys, cmd):
         assert "--prufer: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["spectrum", "balance"])
+@pytest.mark.parametrize("opt", ["--p", "--pr", "--pru", "--pruf", "--prufe"])
+def test_abbreviated_prufer_code_with_a_minus_sign(capsys, cmd, opt):
+    # argparse reads any unambiguous prefix as --prufer
+    assert run([cmd, opt, "-1,0"]) == 1
+    assert capsys.readouterr().err == "error: symbol -1 out of range for n=4\n"
+    assert run([cmd, opt, "--edges", "f"]) == 1
+    assert "--prufer: expected one argument" in capsys.readouterr().err
+
+
 def test_missing_edge_file(capsys):
     assert run(["spectrum", "--edges", "/nonexistent/tree.txt"]) == 1
 

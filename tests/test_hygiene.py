@@ -18,6 +18,11 @@ One output owner: among the package modules only `cli.py` may import
 One solver owner: among the package modules only `spectra.py` may name
 `JACOBI_REL_TOL`, so the solver's stopping rule stays behind one module.
 
+Syntax floor: every package and test module parses as Python 3.10, the
+oldest version pyproject.toml admits, whichever Python runs the suite.
+ast's feature_version catches newer grammar such as `except*`, not newer
+library names.
+
 Test tooling: under the suite's warning filters a failing hypothesis test
 is reported as one failure, and the tests after it still run.
 """
@@ -35,11 +40,8 @@ import pytest
 from signedkn.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    p
-    for p in [*ROOT.glob("src/signedkn/*.py"), *ROOT.glob("tests/*.py")]
-    if p.name != "__init__.py"
-)
+ALL_SOURCES = sorted([*ROOT.glob("src/signedkn/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
 
 
 def _imports(source: str):
@@ -117,6 +119,27 @@ def test_guard_flags_a_noqa_import_of_several_names():
     assert wide_noqa_imports(src) == [
         (["dumps", "loads"], 2), (["pi", "tau"], 3), (["os", "sys"], 7), ([], 8)
     ]
+
+
+MIN_PYTHON = (3, 10)
+
+
+def parses_on_min_python(source: str) -> bool:
+    try:
+        ast.parse(source, feature_version=MIN_PYTHON)
+    except SyntaxError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sources_parse_on_min_python(path):
+    assert parses_on_min_python(path.read_text())
+
+
+def test_guard_flags_syntax_newer_than_min_python():
+    assert parses_on_min_python("try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert not parses_on_min_python("try:\n    pass\nexcept* ValueError:\n    pass\n")
 
 
 FORMAT_MODULES = {"json", "csv", "io"}

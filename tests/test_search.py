@@ -20,7 +20,6 @@ from signedkn import (
     build_path,
     build_star,
     canonical_code,
-    cross_check_enumeration,
     double_star_chain,
     enumerate_tree_classes,
     hill_climb,
@@ -65,9 +64,9 @@ def test_representatives_are_valid_and_sorted(classes_of):
 
 def test_prufer_route_matches_generation():
     for n in range(2, 8):
-        chk = cross_check_enumeration(n)
-        assert chk.ok
-        assert chk.count_generation == FREE_TREE_COUNTS[n]
+        codes = list(enumerate_tree_classes(n))
+        assert list(enumerate_tree_classes(n, method="prufer")) == codes
+        assert len(codes) == FREE_TREE_COUNTS[n]
     # each Prufer-route representative is its class's lexicographically
     # first sequence, found here by brute force over all n**(n-2) sequences
     for n in (6, 7):
