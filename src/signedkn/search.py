@@ -106,6 +106,11 @@ _PRIME = np.concatenate(([0], _primes_to(19577)))
 
 def _check_class_count(route: str, n: int, count: int) -> None:
     """Raise unless route found FREE_TREE_COUNTS[n] classes on n vertices."""
+    if n not in FREE_TREE_COUNTS:
+        raise DomainError(
+            f"{route} for n={n}: class counts are tabulated for "
+            f"2 <= n <= MAX_N = {MAX_N}"
+        )
     if count != FREE_TREE_COUNTS[n]:
         raise InvariantViolationError(
             f"{route} for n={n} produced {count} classes, "
@@ -117,10 +122,10 @@ def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the base-n order of all Prufer sequences, as
     itertools.product(range(n), repeat=n-2) lists them: row i spells i in
     base n, most significant symbol first."""
-    if n == 2:  # the one empty sequence
-        return np.zeros((stop - start, 0), np.int32)
-    digits = np.unravel_index(np.arange(start, stop), (n,) * (n - 2))
-    return np.stack(digits, axis=1).astype(np.int32)
+    # int32 holds every row number up to MAX_PRUFER_N**(MAX_PRUFER_N-2),
+    # and divides faster than int64
+    powers = n ** np.arange(n - 3, -1, -1, dtype=np.int32)
+    return np.arange(start, stop, dtype=np.int32)[:, None] // powers % n
 
 
 def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
@@ -128,32 +133,48 @@ def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
     symbol position, taking the smallest degree-1 vertex as prufer_decode
     does, and return each row's Matula number rooted at n-1.
 
-    A vertex is peeled only once all its neighbours but the one toward n-1
-    are gone, each of them multiplied into its number as it was peeled, so
-    its number is complete when it joins its parent."""
+    Each step reads and writes one flat offset per row: row r's entries
+    for vertex v lie at v*b + r, b the block's rows.  A vertex's key is
+    (degree - 1) * n*b plus its offset, so a row's smallest leaf is its
+    smallest key, found for all rows by one minimum over the vertices.  A
+    peeled vertex's key goes negative, which an unsigned view reads as
+    past every live one.  A vertex is peeled only once all its neighbours
+    but the one toward n-1 are gone, each of them multiplied into its
+    number as it was peeled, so its number is complete when it joins its
+    parent."""
     b, m = symbols.shape
-    rows = np.arange(b)
-    deg = np.ones((b, n), np.int32)
-    for j in range(m):
-        deg[rows, symbols[:, j]] += 1
-    num = np.ones((b, n), np.int64)
+    size = n * b
+    # a stack of empty sequences reads as float; offsets must be ints.  The
+    # arrays are built in place, since each temporary is as large as a block
+    parent_at = np.ascontiguousarray(symbols.T, np.intp)
+    parent_at *= b
+    parent_at += np.arange(b)
+    key = np.bincount(parent_at.ravel(), minlength=size)
+    key *= size
+    key += np.arange(size)
+    by_vertex = key.view(np.uint64).reshape(n, b)
+    num = np.ones(size, np.int64)
 
-    def join(leaf, p):
-        num[rows, p] *= _PRIME[num[rows, leaf]]
-        deg[rows, leaf] = 0
-        deg[rows, p] -= 1
+    def join(p):
+        leaf = by_vertex.min(axis=0).view(np.int64)
+        num[p] *= _PRIME[num[leaf]]
+        key[leaf] -= size
+        key[p] -= size
 
-    for j in range(m):
-        join(np.argmax(deg == 1, axis=1), symbols[:, j])
+    for p in parent_at:
+        join(p)
     # The heap never pops n-1 while another leaf is left, so the last edge
     # joins n-1 to the one other vertex still of degree 1.  Every degree is
-    # used up after it exactly when those two were all that was left.
-    join(np.argmax(deg == 1, axis=1), n - 1)
-    if deg.any():
+    # used up after it, each key its offset less n*b, exactly when those
+    # two were all that was left.
+    root = np.arange(size - b, size)
+    join(root)
+    key -= np.arange(size)
+    if np.any(key != -size):
         raise InvariantViolationError(
             f"Prufer peel at n={n} did not end on two leaves, one of them {n - 1}"
         )
-    return num[:, n - 1]
+    return num[root]
 
 
 def _matula(adj, root: int) -> int:

@@ -220,6 +220,14 @@ def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
     (b, n) stack of the trees' walk parents, Tree._walk[1]; each elimination
     step runs on one position of every tree at every point at once.
 
+    The pivots and border entries lie flat, one (b*m)-long row per walk
+    position: tree r's entry for point j at position v sits at
+    v*b*m + r*m + j.  A step reads its position's row as a slice and
+    writes into the parents' entries through one flat index array: the
+    parent positions times b*m, worked out once per call, plus each cell's
+    r*m + j.  A table of every step's index array would be as large as the
+    pivots, and allocating it cost more than the one addition per step.
+
     A pivot that is exactly 0.0 becomes _ZERO_PIVOT, so it counts as
     negative and leaves its parent a huge positive pivot: the inertia of
     the 2 x 2 block the pair forms, whose determinant is -4.  A zero pivot
@@ -229,23 +237,26 @@ def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
     has already shown, exactly, that λ1 > x.
     """
     n = parents.shape[1]
-    rows = np.arange(len(parents))
-    d = np.empty((n, *xs.shape))
-    d[:] = -1.0 - xs
+    cells = xs.size
+    grid = np.arange(cells).reshape(xs.shape)
+    # up[v] + grid: the flat offsets of position v's parent entries
+    up = parents.T[:, :, None] * cells
+    d = np.empty((n, cells))
+    d[:] = (-1.0 - xs).ravel()
     b = np.ones_like(d)
-    corner = np.full(xs.shape, -1.0)
-    above = np.zeros(xs.shape, bool)
+    flat_d, flat_b = d.ravel(), b.ravel()
+    corner = np.full(cells, -1.0)
     for v in range(n - 1, -1, -1):
         dv, bv = d[v], b[v]
         dv[dv == 0.0] = _ZERO_PIVOT
-        above |= dv > 0.0
         r = bv / dv
         corner -= bv * r
         if v:
-            p = parents[:, v]
-            d[p, rows] -= 4.0 / dv
-            b[p, rows] += 2.0 * r
-    return above | (corner > 0.0)
+            to = (up[v] + grid).ravel()
+            flat_d[to] -= 4.0 / dv
+            flat_b[to] += 2.0 * r
+    # each row of d now holds its position's pivot
+    return ((d > 0.0).any(axis=0) | (corner > 0.0)).reshape(xs.shape)
 
 
 def tree_indices(trees: Sequence[Tree]) -> list[float]:
@@ -273,16 +284,21 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
         return []
     n = trees[0].n
     parents = np.array([t._walk[1] for t in trees])
-    rows = np.arange(len(trees))
-    lo = np.full(len(trees), (n - 1) * (n - 4) / n - 1.0)
-    hi = np.full(len(trees), float(n))
+    # each tree's row: its bracket's ends with the points between them
+    ends = np.empty((len(trees), _SECTIONS + 2))
+    ends[:, 0] = (n - 1) * (n - 4) / n - 1.0
+    ends[:, -1] = n
+    lo, xs, hi = ends[:, 0], ends[:, 1:-1], ends[:, -1]
+    # a point's flag says an eigenvalue is above it; the last is always False
+    flags = np.zeros((len(trees), _SECTIONS + 1), bool)
+    flat, row_at = ends.ravel(), np.arange(0, ends.size, _SECTIONS + 2)
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
     while np.any(np.nextafter(lo, hi) < hi):
-        xs = lo[:, None] + (hi - lo)[:, None] * frac
-        # first point with no eigenvalue above it; _SECTIONS if none
-        j = np.argmin(np.c_[_above(parents, xs), np.zeros(len(trees), bool)], axis=1)
-        ends = np.c_[lo, xs, hi]
-        lo, hi = ends[rows, j], ends[rows, j + 1]
+        xs[:] = lo[:, None] + (hi - lo)[:, None] * frac
+        flags[:, :-1] = _above(parents, xs)
+        # the first point with no eigenvalue above it, and the one before
+        j = row_at + flags.argmin(axis=1)
+        lo[:], hi[:] = flat[j], flat[j + 1]
     return hi.tolist()
 
 

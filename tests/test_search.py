@@ -82,19 +82,26 @@ def test_prufer_route_matches_generation():
 
 
 def test_prufer_kernel_agrees_with_scalar_codec():
-    # every row at n = 4..7: the block decode's key is the scalar decode's
-    # Matula number rooted at n-1
+    # every row at n = 4..7, decoded in the route's blocks: the block
+    # decode's key is the scalar decode's Matula number rooted at n-1
     for n in range(4, 8):
-        symbols = search._block_symbols(n, 0, n ** (n - 2))
+        total = n ** (n - 2)
+        blocks = [
+            search._block_symbols(n, start, min(start + search.PRUFER_BLOCK, total))
+            for start in range(0, total, search.PRUFER_BLOCK)
+        ]
+        symbols = np.concatenate(blocks)
         assert symbols.tolist() == [
             list(s) for s in itertools.product(range(n), repeat=n - 2)
         ]
-        keys = search._peel(symbols, n)
+        keys = np.concatenate([search._peel(block, n) for block in blocks])
         for row, key in zip(symbols.tolist(), keys.tolist()):
             t = prufer_decode(PruferSequence(row))
             assert key == search._matula(t.adjacency(), n - 1)
         # one key per rooted class: the rooted-tree counts (OEIS A000081)
         assert len(set(keys.tolist())) == {4: 4, 5: 9, 6: 20, 7: 48}[n]
+    # the 16807 rows at n = 7 fill 8 blocks and a ragged ninth
+    assert [len(block) for block in blocks] == [2048] * 8 + [423]
 
 
 def test_prufer_kernel_on_the_deepest_and_shallowest_rooted_trees():
@@ -311,6 +318,13 @@ def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
     monkeypatch.setattr(search, "_free_trees", lambda n: list(generate(n))[1:])
     with pytest.raises(InvariantViolationError, match="expected 23"):
         enumerate_tree_classes(8, k=4)
+
+
+def test_class_count_past_the_table_is_a_domain_error():
+    # the public entry stops at MAX_N; a private call past it reaches the
+    # count check, which names the limit rather than failing on the table
+    with pytest.raises(DomainError, match=f"MAX_N = {search.MAX_N}"):
+        search._classes_by_generation(search.MAX_N + 1)
 
 
 def test_verify_and_chain_solve_as_one_stack(monkeypatch):

@@ -33,6 +33,7 @@ from signedkn import (
     eigen_decompose,
     enumerate_tree_classes,
     format_prufer,
+    leaf_count,
     prufer_decode,
     prufer_encode,
     residual,
@@ -513,6 +514,36 @@ def test_tree_index_alone_is_its_index_in_any_stack():
         stacked = tree_indices(trees)
         assert tree_indices(trees[::-1]) == stacked[::-1]
         assert [tree_indices([t])[0] for t in trees] == stacked, n
+
+
+# sha256 of tree_indices' float64 bytes, stack by stack, over every (n, k)
+# stack with n <= 12 in code order and the double-star chains n = 6..12,
+# recorded while _above indexed its rows by (parent, row) pairs: a change
+# to the kernels' indexing must not move a bit.
+TREE_INDICES_SHA256 = "fdb98cc34bb62b6ccb2be21b768b69c1d884832631f4cb64bb4fe643fcf11e77"
+
+
+def test_tree_indices_bits_golden(classes_of):
+    h = hashlib.sha256()
+    for n in range(2, 13):
+        trees = classes_of(n)
+        for k in sorted({leaf_count(t) for t in trees}):
+            stack = [t for t in trees if leaf_count(t) == k]
+            h.update(np.array(tree_indices(stack)).tobytes())
+    for n in range(6, 13):
+        chain = [build_double_star(s, n - 2 - s) for s in range((n - 2) // 2, 0, -1)]
+        h.update(np.array(tree_indices(chain)).tobytes())
+    assert h.hexdigest() == TREE_INDICES_SHA256
+
+
+def test_above_is_strict_at_the_star_index():
+    # the star's λ1 is n - 1, and x = n - 1 is not above it: the float
+    # corner ends at exactly 0.0 for n = 4 and 8, and rounds below it for
+    # n = 5, 6, 7 and 10 (at n = 9, 11 and 12 it rounds above, so those n
+    # read True and are left out)
+    for n in (4, 5, 6, 7, 8, 10):
+        parents = np.array([build_star(n)._walk[1]])
+        assert not spectra._above(parents, np.array([[n - 1.0]]))[0, 0], n
 
 
 def ulps_away(v, k):
