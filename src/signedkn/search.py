@@ -8,16 +8,18 @@ Two independent enumeration routes are kept deliberately:
       (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
       numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
       at a time, one leaf-peel step per symbol position, which roots each
-      tree at n-1, and keys each row by its Matula number rooted there
-      (D. W. Matula, "A natural rooted tree enumeration by prime
-      factorization", SIAM Rev. 10, 1968): 1 for a lone vertex, else the
-      product of the m-th primes over the children, m a child's number.
-      Two rooted trees have equal numbers exactly when they are isomorphic,
-      and a product ignores child order, so the peel multiplies each number
-      up as it goes.  Only the first sequence of each rooted class goes
-      through the scalar prufer_decode, whose _matula must agree with the
-      kernel, and canonical_code, which merges the rooted classes into free
-      ones;
+      tree at n-1.  Each row keeps its leaves as an n-bit mask, whose
+      lowest bit is the leaf peeled next.  The kernel keys each row by its
+      Matula number rooted at n-1 (D. W. Matula, "A natural rooted tree
+      enumeration by prime factorization", SIAM Rev. 10, 1968): 1 for a
+      lone vertex, else the product of the m-th primes over the children,
+      m a child's number.  Two rooted trees have equal numbers exactly
+      when they are isomorphic, and a product ignores child order, so the
+      peel multiplies each number up as it goes.  A table of the keys seen
+      so far picks out the first sequence of each rooted class, and only
+      that one goes through the scalar prufer_decode, whose _matula must
+      agree with the kernel, and canonical_code, which merges the rooted
+      classes into free ones;
   (b) canonical free-tree generation for all n <= 12: an in-house
       generator of the level sequences of Wright, Richmond, Odlyzko and
       McKay yields one parent array per free tree, and leaf counts are
@@ -100,7 +102,10 @@ def _primes_to(limit: int) -> np.ndarray:
 # _PRIME[m] is the m-th prime, the factor that a child of Matula number m
 # puts on its parent (_PRIME[0] is never read).  A child in a tree rooted at
 # n-1 heads at most MAX_PRUFER_N - 1 = 8 vertices, the largest Matula number
-# of a rooted tree that small is 2221, and the 2221st prime is 19577.
+# of a rooted tree that small is 2221, and the 2221st prime is 19577.  The
+# same bound sizes the table of keys seen in _classes_by_prufer: no tree on
+# MAX_PRUFER_N vertices rooted anywhere numbers more than 19577, which a
+# root reaches when its only child heads the 8-vertex tree numbered 2221.
 _PRIME = np.concatenate(([0], _primes_to(19577)))
 
 
@@ -121,56 +126,82 @@ def _check_class_count(route: str, n: int, count: int) -> None:
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the base-n order of all Prufer sequences, as
     itertools.product(range(n), repeat=n-2) lists them: row i spells i in
-    base n, most significant symbol first."""
+    base n, most significant symbol first.
+
+    The digits are computed symbol-major, as a contiguous (n-2, b) array
+    with position j's symbols in row j, and its transpose is returned: a
+    (b, n-2) view whose rows are the sequences and whose .T is the
+    contiguous array that _peel walks one position at a time."""
     # int32 holds every row number up to MAX_PRUFER_N**(MAX_PRUFER_N-2),
     # and divides faster than int64
     powers = n ** np.arange(n - 3, -1, -1, dtype=np.int32)
-    return np.arange(start, stop, dtype=np.int32)[:, None] // powers % n
+    return (np.arange(start, stop, dtype=np.int32) // powers[:, None] % n).T
 
 
 def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
     """Decode a block of Prufer rows together, one leaf-peel step per
-    symbol position, taking the smallest degree-1 vertex as prufer_decode
-    does, and return each row's Matula number rooted at n-1.
+    symbol position, taking the smallest leaf as prufer_decode does, and
+    return each row's Matula number rooted at n-1.
 
-    Each step reads and writes one flat offset per row: row r's entries
-    for vertex v lie at v*b + r, b the block's rows.  A vertex's key is
-    (degree - 1) * n*b plus its offset, so a row's smallest leaf is its
-    smallest key, found for all rows by one minimum over the vertices.  A
-    peeled vertex's key goes negative, which an unsigned view reads as
-    past every live one.  A vertex is peeled only once all its neighbours
-    but the one toward n-1 are gone, each of them multiplied into its
-    number as it was peeled, so its number is complete when it joins its
-    parent."""
+    Each row keeps its leaves as an n-bit mask, bit v for vertex v
+    (n <= MAX_PRUFER_N, so a mask fits in any int).  A vertex's degree is
+    1 plus its number of occurrences, so the leaves before the first step
+    are the vertices absent from the row, and symbol s_i becomes a leaf
+    right after step i if position i is its last occurrence.  Step i takes
+    the mask's lowest bit, multiplies that leaf's number, as a prime, into
+    s_i's, clears the bit, and sets s_i's on its last occurrence.  A vertex
+    is peeled only once all its neighbours but the one toward n-1 are
+    gone, each of them multiplied into its number as it was peeled, so its
+    number is complete when it joins its parent.
+
+    A row of any other length than n-2 raises InvariantViolationError.
+    Every row of n-2 symbols below n is a Prufer code, so the check that
+    the peel ends on n-1 and one other leaf fails only on a wrong kernel.
+
+    Layouts: symbols is (b, n-2), read one position at a time through its
+    transpose, which _block_symbols makes contiguous.  The numbers are one
+    flat array, row r's vertex v at v*b + r, and a 2**n table maps a
+    mask's lowest bit 1 << v to v*b."""
     b, m = symbols.shape
-    size = n * b
-    # a stack of empty sequences reads as float; offsets must be ints.  The
-    # arrays are built in place, since each temporary is as large as a block
-    parent_at = np.ascontiguousarray(symbols.T, np.intp)
+    if m != n - 2:
+        raise InvariantViolationError(
+            f"Prufer rows at n={n} need {n - 2} symbols, got {m}"
+        )
+    # a copy, made into offsets in place below; a stack of empty sequences
+    # reads as float, and shifts and offsets need ints
+    parent_at = symbols.T.astype(np.intp)
+    # later[i] gathers the vertices at position i or later, by m-1 ORs in
+    # place; the vertices in no position are the first leaves
+    later = np.left_shift(1, parent_at)
+    for i in range(m - 2, -1, -1):
+        np.bitwise_or(later[i], later[i + 1], out=later[i])
+    top = 1 << (n - 1)
+    leaves = np.full(b, 2 * top - 1)
+    if m:
+        leaves ^= later[0]
+    # later[i] ^ later[i+1] is s_i's bit if position i is its last
+    # occurrence, else nothing
+    later[:-1] ^= later[1:]
+    rows = np.arange(b)
     parent_at *= b
-    parent_at += np.arange(b)
-    key = np.bincount(parent_at.ravel(), minlength=size)
-    key *= size
-    key += np.arange(size)
-    by_vertex = key.view(np.uint64).reshape(n, b)
-    num = np.ones(size, np.int64)
-
-    def join(p):
-        leaf = by_vertex.min(axis=0).view(np.int64)
+    parent_at += rows
+    offset = np.zeros(2 * top, np.intp)
+    offset[1 << np.arange(n)] = np.arange(0, n * b, b)
+    num = np.ones(n * b, np.int64)
+    low = np.empty(b, np.intp)
+    root = rows + (n - 1) * b
+    # n-1 is never a row's lowest leaf while three or more vertices are
+    # left, so the last step joins n-1 to the one other leaf and must
+    # leave n-1 alone in the mask
+    for p, grown in zip([*parent_at, root], [*later, 0]):
+        np.negative(leaves, out=low)
+        low &= leaves
+        leaf = offset[low]
+        leaf += rows
         num[p] *= _PRIME[num[leaf]]
-        key[leaf] -= size
-        key[p] -= size
-
-    for p in parent_at:
-        join(p)
-    # The heap never pops n-1 while another leaf is left, so the last edge
-    # joins n-1 to the one other vertex still of degree 1.  Every degree is
-    # used up after it, each key its offset less n*b, exactly when those
-    # two were all that was left.
-    root = np.arange(size - b, size)
-    join(root)
-    key -= np.arange(size)
-    if np.any(key != -size):
+        leaves ^= low
+        leaves |= grown
+    if np.any(leaves != top):
         raise InvariantViolationError(
             f"Prufer peel at n={n} did not end on two leaves, one of them {n - 1}"
         )
@@ -191,7 +222,8 @@ def _matula(adj, root: int) -> int:
 def _classes_by_prufer(n: int) -> dict[str, Tree]:
     """Decode every sequence in base-n order, PRUFER_BLOCK rows at a time,
     key each row by its tree's Matula number rooted at n-1, and keep the
-    first row seen for each key.
+    first row seen for each key.  A boolean table indexed by key marks the
+    keys seen, so only rows with a new key go through Python.
 
     Rooted-isomorphic trees are isomorphic, so only these rooted classes
     go through the scalar prufer_decode, whose _matula must equal the
@@ -202,14 +234,17 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
             f"Prufer enumeration supported for n <= {MAX_PRUFER_N}, got {n}"
         )
     total = n ** (n - 2)
-    first: dict[int, int] = {}
+    seen = np.zeros(_PRIME[-1] + 1, bool)
+    first: list[tuple[int, int]] = []
     for start in range(0, total, PRUFER_BLOCK):
-        symbols = _block_symbols(n, start, min(start + PRUFER_BLOCK, total))
-        uniq, at = np.unique(_peel(symbols, n), return_index=True)
-        for key, i in zip(uniq.tolist(), at.tolist()):
-            first.setdefault(key, start + i)
+        keys = _peel(_block_symbols(n, start, min(start + PRUFER_BLOCK, total)), n)
+        fresh = np.flatnonzero(~seen[keys])
+        for i, key in zip(fresh.tolist(), keys[fresh].tolist()):
+            if not seen[key]:
+                seen[key] = True
+                first.append((key, start + i))
     reps: dict[str, Tree] = {}
-    for key, i in sorted(first.items(), key=lambda item: item[1]):
+    for key, i in first:
         t = prufer_decode(PruferSequence(_block_symbols(n, i, i + 1)[0]))
         number = _matula(t.adjacency(), n - 1)
         if number != key:

@@ -451,12 +451,29 @@ def test_stdout_golden(capsys, call, fmt):
     assert digest == STDOUT_SHA256[call][fmt]
 
 
+# sha256 of `enumerate --n 9 --method prufer` stdout in each format: the
+# largest Prufer enumeration, which picks the representative row of each of
+# the 47 classes.  Kept out of STDOUT_SHA256, which would also run it
+# through --out.
+PRUFER_N9_SHA256 = {
+    "json": "370957071d42dd51985617171a62232a333fb58891fd7c0a7d9eb673978bdb48",
+    "csv": "409daaefa5e566fb3ca35d2ae99002a5a972688638045c3c442b76d40ad8d330",
+    "text": "e0c54665045f187d6386d64fd6cbb8a5aacc8ff21d7af568e759556847e576af",
+}
+
+
 def test_prufer_route_stdout_golden_at_n9(capsys):
-    # the largest Prufer enumeration, pinned once: STDOUT_SHA256 would also
-    # run it through --out
+    # json, the default format
     assert run(["enumerate", "--n", "9", "--method", "prufer"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "370957071d42dd51985617171a62232a333fb58891fd7c0a7d9eb673978bdb48"
+    assert digest == PRUFER_N9_SHA256["json"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_prufer_route_stdout_golden_at_n9_per_format(capsys, fmt):
+    assert run(["enumerate", "--n", "9", "--method", "prufer", "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PRUFER_N9_SHA256[fmt]
 
 
 @pytest.mark.parametrize("call", list(STDOUT_SHA256), ids=_call_id)

@@ -145,6 +145,18 @@ def test_matula_numbers_match_rooted_codes_up_to_eight_vertices(classes_of):
     assert search._PRIME[1:].tolist() == list(sympy.primerange(2, 19578))
 
 
+def test_prufer_keys_fit_the_seen_table(classes_of):
+    # _classes_by_prufer marks keys in a table of _PRIME[-1] + 1 entries: over
+    # every rooting of every class on MAX_PRUFER_N vertices, the largest
+    # Matula number is _PRIME[-1], whose root has one child, numbered 2221
+    n = search.MAX_PRUFER_N
+    numbers = [
+        search._matula(t.adjacency(), root) for t in classes_of(n) for root in range(n)
+    ]
+    assert len(numbers) == FREE_TREE_COUNTS[n] * n
+    assert max(numbers) == search._PRIME[-1] == search._PRIME[2221] == 19577
+
+
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
     default = enumerate_tree_classes(7, method="prufer")
     monkeypatch.setattr(search, "PRUFER_BLOCK", 7)
@@ -165,9 +177,13 @@ def test_prufer_route_streams_blocks():
 
 
 def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
-    # one symbol short: three degree-1 vertices are left after the peel
-    with pytest.raises(InvariantViolationError):
-        search._peel(np.array([[0, 1]]), 5)
+    # rows one symbol short, one long and two long all raise, naming the length
+    rng = np.random.default_rng(0)
+    for n in range(3, search.MAX_PRUFER_N + 1):
+        for length in (n - 3, n - 1, n):
+            message = f"need {n - 2} symbols, got {length}$"
+            with pytest.raises(InvariantViolationError, match=message):
+                search._peel(rng.integers(0, n, (64, length)), n)
     # a representative whose scalar Matula number disagrees with its key
     with monkeypatch.context() as m:
         m.setattr(search, "_matula", lambda adj, root: 1)
