@@ -46,13 +46,11 @@ from .perturb import (
     hill_climb,
 )
 from .search import (
-    AuditRecord,
     ClassRecord,
     FREE_TREE_COUNTS,
     SearchReport,
     double_star_chain,
     enumerate_tree_classes,
-    structural_audit,
     verify_max_index,
 )
 from .spectra import (

@@ -90,9 +90,6 @@ class Tree:
     def degrees(self) -> list[int]:
         return [len(nb) for nb in self._adj]
 
-    def leaves(self) -> list[int]:
-        return [v for v, d in enumerate(self.degrees()) if d == 1]
-
     def relabel(self, perm: Sequence[int]) -> "Tree":
         """Apply the vertex permutation old -> perm[old]."""
         if sorted(perm) != list(range(self.n)):

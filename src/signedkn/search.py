@@ -1,6 +1,6 @@
 """Enumeration of free-tree isomorphism classes and the exhaustive
-verification machinery: the broom-extremality check per (n, k), the
-double-star chain, and structural audits of argmax trees.
+verification machinery: the broom-extremality check per (n, k) and the
+double-star chain.
 
 Two independent enumeration routes are kept deliberately:
 
@@ -461,54 +461,3 @@ def double_star_chain(n: int) -> list[tuple[int, int, float]]:
     lams = tree_indices([build_double_star(s, t) for s, t in sides])
     return [(s, t, lam) for (s, t), lam in zip(sides, lams)]
 
-
-@dataclass(frozen=True)
-class AuditRecord:
-    """Structural-shape checks for a tree claimed extremal at (n, k).
-
-    Applicable for 3 <= k <= n-2; outside that range (path or star) the
-    hub properties are degenerate and every check is None."""
-
-    n: int
-    k: int
-    applicable: bool
-    hub: int | None
-    max_degree_is_k: bool | None
-    unique_max_degree_vertex: bool | None
-    hub_pendant_neighbors: bool | None
-    non_hub_degrees_le_2: bool | None
-    passed: bool
-
-
-def structural_audit(t: Tree) -> AuditRecord:
-    """Check the expected argmax shape for the tree's leaf count k: a
-    unique hub of degree k carrying k-1 pendant neighbours, every other
-    vertex of degree at most 2."""
-    n = t.n
-    k = leaf_count(t)
-    if not 3 <= k <= n - 2:
-        return AuditRecord(
-            n=n, k=k, applicable=False, hub=None, max_degree_is_k=None,
-            unique_max_degree_vertex=None, hub_pendant_neighbors=None,
-            non_hub_degrees_le_2=None, passed=True,
-        )
-    deg = t.degrees()
-    maxdeg = max(deg)
-    hub = deg.index(maxdeg)
-    adj = t.adjacency()
-    max_degree_is_k = maxdeg == k
-    unique_max = deg.count(maxdeg) == 1
-    pendant_nbs = sum(1 for w in adj[hub] if deg[w] == 1)
-    hub_pendant = pendant_nbs == k - 1
-    others_le_2 = all(d <= 2 for v, d in enumerate(deg) if v != hub)
-    return AuditRecord(
-        n=n,
-        k=k,
-        applicable=True,
-        hub=hub,
-        max_degree_is_k=max_degree_is_k,
-        unique_max_degree_vertex=unique_max,
-        hub_pendant_neighbors=hub_pendant,
-        non_hub_degrees_le_2=others_le_2,
-        passed=max_degree_is_k and unique_max and hub_pendant and others_le_2,
-    )

@@ -3,7 +3,10 @@
 Nothing here touches the package's own solver: characteristic polynomials
 go through sympy's exact integer arithmetic, the power iteration is plain
 numpy, numpy.linalg.eigvalsh serves as a third opinion where handy, and
-the exact eigenvalue count eliminates in Fraction arithmetic.
+the exact eigenvalue count eliminates in Fraction arithmetic.  Nothing
+here imports signedkn (test_hygiene checks it): a tree is read only
+through t.n and t.adjacency(), so each oracle stays independent of the
+package functions it is checked against.
 """
 
 from __future__ import annotations
@@ -105,3 +108,14 @@ def fraction_eigs_above(t, x) -> int | None:
     if corner == 0:
         return None
     return above + (corner > 0)
+
+
+def is_broom_shaped(t) -> bool:
+    """Whether t is the broom for its own leaf count k, for 3 <= k <= n-2:
+    exactly one vertex has degree above 2, and k-1 of its neighbours are
+    leaves.  A tree with one vertex of degree >= 3 is a spider with one
+    leaf per leg, so that vertex has degree k and the last leg is a path."""
+    adj = t.adjacency()
+    deg = [len(nb) for nb in adj]
+    hubs = [v for v, d in enumerate(deg) if d > 2]
+    return len(hubs) == 1 and sum(deg[w] == 1 for w in adj[hubs[0]]) == deg.count(1) - 1

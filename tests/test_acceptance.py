@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import is_broom_shaped
 from signedkn import (
     PruferSequence,
     RotationMove,
@@ -30,7 +31,6 @@ from signedkn import (
     random_tree_with_leaf_count,
     signed_complete_from_tree,
     spectrum_of,
-    structural_audit,
     switch,
     top_eigenvector,
     tree_index,
@@ -298,16 +298,16 @@ def test_criterion_10_unbalanced_index_and_audits(classes_of, verified_range):
                 continue
             balance_as_expected = balance_as_expected and not is_balanced(g)
             worst = min(worst, spectrum_of(g).lambda1)
-    audits_ok = True
+    shapes_ok = True
     for (n, k), r in sorted(_fill_verified(verified_range).items()):
         arg = next(c for c in r.classes if c.is_argmax)
         t = prufer_decode(PruferSequence(arg.prufer))
-        audits_ok = audits_ok and structural_audit(t).passed
-    ok = worst > 1.0 and audits_ok and balance_as_expected
+        shapes_ok = shapes_ok and is_broom_shaped(t)
+    ok = worst > 1.0 and shapes_ok and balance_as_expected
     _line(
         10,
-        "unbalanced classes have lambda1 > 1; argmax shapes pass the audit",
+        "unbalanced classes have lambda1 > 1; argmax shapes are brooms",
         ok,
-        f"min unbalanced lambda1 {worst:.6f}, audits ok {audits_ok}, "
+        f"min unbalanced lambda1 {worst:.6f}, broom shapes ok {shapes_ok}, "
         f"balance split ok {balance_as_expected}",
     )

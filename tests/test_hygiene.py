@@ -18,6 +18,9 @@ One output owner: among the package modules only `cli.py` may import
 One solver owner: among the package modules only `spectra.py` may name
 `JACOBI_REL_TOL`, so the solver's stopping rule stays behind one module.
 
+Independent oracles: `tests/oracles.py` imports nothing from signedkn, in
+any spelling, so no oracle shares code with the package it checks.
+
 Syntax floor: every package and test module parses as Python 3.10, the
 oldest version pyproject.toml admits, whichever Python runs the suite.
 ast's feature_version catches newer grammar such as `except*`, not newer
@@ -140,6 +143,52 @@ def test_sources_parse_on_min_python(path):
 def test_guard_flags_syntax_newer_than_min_python():
     assert parses_on_min_python("try:\n    pass\nexcept ValueError:\n    pass\n")
     assert not parses_on_min_python("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+def signedkn_imports(source: str) -> list[int]:
+    """Lines that import signedkn or one of its modules, however spelled:
+    `import signedkn.graphs as g`, `from signedkn import search`, or
+    `__import__` or `import_module` called on a literal name."""
+
+    def is_signedkn(name) -> bool:
+        return isinstance(name, str) and name.partition(".")[0] == "signedkn"
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(is_signedkn(a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and is_signedkn(node.module)
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            hit = name in ("__import__", "import_module") and is_signedkn(node.args[0].value)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_oracles_import_nothing_from_signedkn():
+    assert signedkn_imports((ROOT / "tests" / "oracles.py").read_text()) == []
+
+
+def test_guard_flags_every_spelling_of_a_signedkn_import():
+    src = (
+        "import signedkn\n"
+        "from signedkn.graphs import build_broom\n"
+        "from signedkn import search as s\n"
+        "import numpy, signedkn.spectra as sp\n"
+        "import signedknx\n"
+        "from sympy import Matrix\n"
+        "from .signedkn import x\n"
+        "def f():\n"
+        "    import signedkn.cli\n"
+        "    return importlib.import_module('signedkn.graphs'), __import__('signedkn')\n"
+        "print('signedkn')\n"
+    )
+    assert signedkn_imports(src) == [1, 2, 3, 4, 9, 10, 10]
 
 
 FORMAT_MODULES = {"json", "csv", "io"}

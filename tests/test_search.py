@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import tracemalloc
 
 import networkx as nx
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 import sympy
 
+from oracles import charpoly_coefficients, is_broom_shaped
 from signedkn import (
     DomainError,
     InvariantViolationError,
     PruferSequence,
     SearchReport,
     Tree,
+    adjacency_matrix,
     build_broom,
     build_double_star,
     build_path,
@@ -26,7 +29,7 @@ from signedkn import (
     leaf_count,
     prufer_decode,
     prufer_encode,
-    structural_audit,
+    signed_complete_from_tree,
     tree_index,
     verify_max_index,
 )
@@ -454,46 +457,61 @@ def test_chain_end_is_k_n_minus_2_argmax():
     )
 
 
-# ------------------------------------------------------------ audits
+def _double_star_quotient(n, s, t, x):
+    """p_{s,t}(x), the characteristic polynomial of the equitable quotient
+    of (K_n, T(s, t)⁻) on four cells: the two centres, the s leaves and
+    the t leaves."""
+    st = s * t
+    return x**4 - (n - 4) * x**3 - (3 * n - 6) * x**2 + (8 * st - 3 * n + 4) * x + 8 * st - n + 1
 
 
-def test_audit_broom_passes():
-    rec = structural_audit(build_broom(8, 4))
-    assert rec.k == 4
-    assert rec.applicable
-    assert rec.passed
-    assert rec.hub == 0
-    assert rec.max_degree_is_k
-    assert rec.unique_max_degree_vertex
-    assert rec.hub_pendant_neighbors
-    assert rec.non_hub_degrees_le_2
+def test_double_star_spectrum_is_its_quotient_and_minus_one():
+    # det(xI - A) = (x+1)^(n-4) p_{s,t}(x).  p_{s-1,t+1} - p_{s,t} is
+    # 8(x+1)(s-t-1), negative at x = λ1(s, t) > -1 when s <= t, and p is
+    # monic, so λ1 rises strictly along the chain for every n >= 6
+    # (equitable partitions: Godsil & Royle, Algebraic Graph Theory, 2001,
+    # §9.3)
+    n, s, t, x = sympy.symbols("n s t x")
+    step = _double_star_quotient(n, s - 1, t + 1, x) - _double_star_quotient(n, s, t, x)
+    assert sympy.expand(step - 8 * (x + 1) * (s - t - 1)) == 0
+    stars, worst_ulps = 0, 0
+    for m in range(6, 13):
+        for a, b, lam in double_star_chain(m):
+            p = sympy.Poly(_double_star_quotient(m, a, b, x), x)
+            want = [int(c) for c in (sympy.Poly((x + 1) ** (m - 4), x) * p).all_coeffs()]
+            g = signed_complete_from_tree(build_double_star(a, b))
+            assert charpoly_coefficients(adjacency_matrix(g).entries) == want, (a, b)
+            root = max(sympy.real_roots(p)).evalf(40)
+            ulps = abs(sympy.Rational(lam) - root) / sympy.Rational(math.ulp(lam))
+            worst_ulps = max(worst_ulps, ulps)
+            stars += 1
+    assert stars == 23
+    assert worst_ulps <= 4
 
 
-def test_audit_balanced_double_star_fails():
-    rec = structural_audit(build_double_star(2, 2))
-    assert rec.applicable
-    assert not rec.passed
-    assert not rec.max_degree_is_k
+# ------------------------------------------------------------ broom shape
 
 
-def test_audit_spider_fails_pendant_check():
-    # legs (1, 2, 2): hub degree 3 = k but only one pendant neighbour
+def test_broom_shape_oracle_holds_exactly_on_the_broom(classes_of):
+    # every class with 5 <= n <= 12 and 3 <= k <= n-2: the degree predicate
+    # holds exactly when the canonical code is the broom's, so it fails on
+    # every planted wrong tree of the same n and k
+    brooms = wrong = 0
+    for n in range(5, 13):
+        for t in classes_of(n):
+            k = leaf_count(t)
+            if not 3 <= k <= n - 2:
+                continue
+            broom = canonical_code(t) == canonical_code(build_broom(n, k))
+            assert is_broom_shaped(t) == broom, (n, k, canonical_code(t))
+            brooms += broom
+            wrong += not broom
+    assert (brooms, wrong) == (36, 930)
+    assert is_broom_shaped(build_broom(8, 4).relabel((7, 6, 5, 4, 3, 2, 1, 0)))
+    assert not is_broom_shaped(build_double_star(2, 2))
+    # legs (1, 2, 2): one vertex of degree 3 = k, but one pendant neighbour
     spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
-    rec = structural_audit(spider)
-    assert rec.applicable
-    assert rec.max_degree_is_k
-    assert not rec.hub_pendant_neighbors
-    assert not rec.passed
-
-
-def test_audit_path_and_star_not_applicable():
-    rec2 = structural_audit(build_path(7))
-    assert not rec2.applicable
-    assert rec2.passed
-    assert rec2.hub is None
-    recn = structural_audit(build_star(7))
-    assert not recn.applicable
-    assert recn.passed
+    assert not is_broom_shaped(spider)
 
 
 # ------------------------------------------------------------ serialization
