@@ -507,10 +507,24 @@ def test_broom_shape_oracle_holds_exactly_on_the_broom(classes_of):
             brooms += broom
             wrong += not broom
     assert (brooms, wrong) == (36, 930)
-    assert is_broom_shaped(build_broom(8, 4).relabel((7, 6, 5, 4, 3, 2, 1, 0)))
+
+
+def test_audit_broom_passes():
+    broom = build_broom(8, 4)
+    assert leaf_count(broom) == 4
+    assert is_broom_shaped(broom)
+    assert is_broom_shaped(broom.relabel((7, 6, 5, 4, 3, 2, 1, 0)))
+
+
+def test_audit_balanced_double_star_fails():
+    # two vertices of degree 3, so no single hub
     assert not is_broom_shaped(build_double_star(2, 2))
+
+
+def test_audit_spider_fails_pendant_check():
     # legs (1, 2, 2): one vertex of degree 3 = k, but one pendant neighbour
     spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
+    assert leaf_count(spider) == max(spider.degrees()) == 3
     assert not is_broom_shaped(spider)
 
 
