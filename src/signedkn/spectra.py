@@ -12,14 +12,20 @@ vertex, as in Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
 tree_indices finds λ1 of a stack of same-size trees by multisection on the
 float counts, all trees and points at once.  tree_index, spectrum_of and
 top_eigenvector solve one matrix by Jacobi.
+
+The Jacobi sweeps turn only the matrix and log each rotation they apply;
+a Spectrum's eigenvectors come from replaying that log on the identity
+when .vectors is first read, so a caller that reads only eigenvalues,
+as tree_index and the spectrum command do, never pays for them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +54,8 @@ _SUM_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A real symmetric n x n matrix.  Entries are copied and frozen; n is
-    read from their shape."""
+    """A real symmetric n x n matrix of finite entries.  Entries are copied
+    and frozen; n is read from their shape."""
 
     entries: np.ndarray
 
@@ -59,6 +65,10 @@ class SymMatrix:
             raise InvariantViolationError(
                 f"expected a square matrix, got shape {a.shape}"
             )
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DomainError(f"matrix entries must be finite, got {a[i, j]} at ({i}, {j})")
         if not np.array_equal(a, a.T):
             raise InvariantViolationError("matrix is not symmetric")
         a.setflags(write=False)
@@ -69,18 +79,35 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        """‖A‖_F, or inf when the sum of squares overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.entries))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, aligned unit eigenvector columns, the
-    off-diagonal norm the solver achieved and the Jacobi sweeps it took."""
+    """Eigenvalues sorted descending, the off-diagonal norm the solver
+    achieved and the Jacobi sweeps it took.
+
+    The aligned unit eigenvector columns, .vectors, are computed when first
+    read, by replaying the solver's rotation log on the identity, and kept:
+    later reads return the same read-only array.  The log holds one
+    (p, q, c, s) entry per rotation applied, at most n(n-1)/2 per sweep:
+    about 1000 entries for a solve at n = 16, and about 50k at n = 100.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
     tol: float
     sweeps: int
+    # the rotation log, and the order that sorts the solver's diagonal
+    _rotations: list = field(repr=False, compare=False)
+    _order: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        vectors = _replay(self._rotations, self.n).T[:, self._order]
+        vectors.setflags(write=False)
+        return vectors
 
     @property
     def n(self) -> int:
@@ -118,27 +145,36 @@ def _off_norm(a):
     return math.sqrt(float(np.sum(off * off)))
 
 
-def _jacobi_sweeps(w, tol):
-    """Run cyclic Jacobi sweeps in place on w = [A | I], an n x 2n array.
+def _rotate(x, y, c, s):
+    """Rows x and y turned by a Jacobi rotation: c*x - s*y and s*x + c*y,
+    entry by entry, each product rounded on its own."""
+    return [c * a - s * b for a, b in zip(x, y)], [s * a + c * b for a, b in zip(x, y)]
 
-    A rotation J in the (p, q) plane rotates rows p and q of w, giving Jᵀ A
-    on the left and Jᵀ Vᵀ = (V J)ᵀ on the right; copying the new rows into
-    columns p and q of A completes Jᵀ A J, which stays exactly symmetric.
-    The right block ends as Vᵀ, the transposed eigenvector matrix.
 
-    The rotations run on w's rows as Python lists of floats, which on rows
+def _jacobi_sweeps(a, tol):
+    """Run cyclic Jacobi sweeps in place on the n x n array a.
+
+    A rotation J in the (p, q) plane turns rows p and q of A, giving Jᵀ A;
+    copying the new rows into columns p and q completes Jᵀ A J, which stays
+    exactly symmetric.  Each rotation applied is logged as (p, q, c, s); a
+    pair whose entry is already 0.0 is skipped and not logged.  Turning
+    rows p and q of I by the logged rotations in order gives Vᵀ, the
+    transposed eigenvector matrix, bit for bit as if those rows had been
+    turned alongside A's: the column copy writes only A's columns.
+
+    The rotations run on a's rows as Python lists of floats, which on rows
     this short costs far less than a numpy call per row.  Each entry is the
     same IEEE double operations in the same order as the numpy rows would
-    take, c*x - s*y and s*x + c*y with every product rounded on its own,
-    so the bits are those of the array version.  The rows go back into w
-    before each off-norm, which numpy sums.
+    take, so the bits are those of the array version.  The rows go back
+    into a before each off-norm, which numpy sums.
 
-    Returns (achieved off-diagonal Frobenius norm, sweeps used).
+    Returns (achieved off-diagonal Frobenius norm, sweeps used, log).
     """
-    n = w.shape[0]
-    off = _off_norm(w[:, :n])
+    n = a.shape[0]
+    off = _off_norm(a)
     sweeps = 0
-    rows = w.tolist()
+    rows = a.tolist()
+    log = []
     while off > tol and sweeps < MAX_SWEEPS:
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -158,10 +194,9 @@ def _jacobi_sweeps(w, tol):
                 s = t * c
                 app = rp[p] - t * apq
                 aqq = rq[q] + t * apq
-                wp = [c * x - s * y for x, y in zip(rp, rq)]
-                wq = [s * x + c * y for x, y in zip(rp, rq)]
-                rows[p] = wp
-                rows[q] = wq
+                log.append((p, q, c, s))
+                wp, wq = _rotate(rp, rq, c, s)
+                rows[p], rows[q] = wp, wq
                 for r, x, y in zip(rows, wp, wq):
                     r[p] = x
                     r[q] = y
@@ -170,35 +205,60 @@ def _jacobi_sweeps(w, tol):
                 wp[q] = 0.0
                 wq[p] = 0.0
         sweeps += 1
-        w[:] = rows
-        off = _off_norm(w[:, :n])
-    return off, sweeps
+        a[:] = rows
+        off = _off_norm(a)
+    return off, sweeps, log
+
+
+def _replay(log, n):
+    """Vᵀ: the rows of the n x n identity turned by each logged rotation
+    in order, with _jacobi_sweeps' own arithmetic."""
+    rows = np.eye(n).tolist()
+    for p, q, c, s in log:
+        rows[p], rows[q] = _rotate(rows[p], rows[q], c, s)
+    return np.array(rows)
+
+
+# ‖A‖_F outside [2**-511, 2**511] (A not zero) puts the squares that the
+# off-norm sums outside the normal floats: they overflow to inf, or
+# underflow so far that the convergence test reads nothing.
+_MIN_NORM, _MAX_NORM = 2.0**-511, 2.0**511
 
 
 def eigen_decompose(m: SymMatrix) -> Spectrum:
-    """Full spectrum of a symmetric matrix, sorted descending, with its
-    unit eigenvectors as aligned columns.
+    """Full spectrum of a symmetric matrix, sorted descending.  The unit
+    eigenvectors, as aligned columns, are computed only if .vectors is read.
 
     Sweeps run until the off-diagonal Frobenius norm is at most
     JACOBI_REL_TOL times the Frobenius norm of the input, up to MAX_SWEEPS.
-    Deterministic: identical input gives identical output.
+    A nonzero matrix whose Frobenius norm is outside [2**-511, 2**511]
+    raises DomainError.  Deterministic: identical input gives identical
+    output.
     """
-    n = m.n
-    w = np.hstack([m.entries, np.eye(n)])
-    tol = JACOBI_REL_TOL * m.frobenius()
-    off, sweeps = _jacobi_sweeps(w, tol)
+    norm = m.frobenius()
+    if norm > _MAX_NORM:
+        raise DomainError(
+            f"matrix too large for the solver: Frobenius norm {norm:.3e} > 2**511, "
+            "so the squares of its entries overflow"
+        )
+    if norm < _MIN_NORM and m.entries.any():
+        raise DomainError(
+            f"matrix too small for the solver: Frobenius norm {norm:.3e} < 2**-511, "
+            "so the squares of its entries underflow"
+        )
+    a = np.array(m.entries)
+    tol = JACOBI_REL_TOL * norm
+    off, sweeps, log = _jacobi_sweeps(a, tol)
     if off > tol:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge: off-norm {off:.3e} > tol {tol:.3e}",
             off_norm=float(off),
         )
-    vals = w.diagonal()
+    vals = a.diagonal()
     order = np.argsort(-vals, kind="stable")
     values = vals[order]
     values.setflags(write=False)
-    vectors = w[:, n:].T[:, order]
-    vectors.setflags(write=False)
-    return Spectrum(values=values, vectors=vectors, tol=float(off), sweeps=sweeps)
+    return Spectrum(values=values, tol=float(off), sweeps=sweeps, _rotations=log, _order=order)
 
 
 def adjacency_matrix(g: SignedCompleteGraph) -> SymMatrix:

@@ -255,6 +255,46 @@ def test_convergence_error_carries_norm(monkeypatch):
     assert off == pytest.approx(np.sqrt(np.sum(m.entries * m.entries)), rel=1e-12)
 
 
+def test_tiny_off_diagonal_takes_the_asymptotic_rotation():
+    # theta = -2**519 is past 1e154, so t = 1/(2 theta) = -2**-520 = -e
+    # exactly: the eigenvalue -e*e and its eigenvector (-e, 1) come out
+    # exact.  The [[0, 1], [1, 0]] block keeps the off-norm above tol.
+    e = 2.0**-520
+    s = decomp([[1.0, e, 0.0, 0.0], [e, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    assert s.values[2] == -e * e
+    assert s.vectors[:, 2].tolist() == [-e, 1.0, 0.0, 0.0]
+
+
+def test_non_finite_entry_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"finite, got inf at \(0, 1\)"):
+        SymMatrix(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+
+
+def test_nan_entry_is_a_domain_error_not_asymmetry():
+    with pytest.raises(DomainError, match=r"finite, got nan at \(0, 1\)"):
+        SymMatrix(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+
+
+def test_overflowing_norm_is_a_domain_error():
+    # the eigenvalues are ±1e200, but the squares the solver's norms sum
+    # overflow; no RuntimeWarning may escape either
+    m = SymMatrix(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    assert m.frobenius() == math.inf
+    with pytest.raises(DomainError, match="too large.*overflow"):
+        eigen_decompose(m)
+
+
+def test_underflowing_norm_is_a_domain_error():
+    # the eigenvalues are ±1e-200, but every square underflows to 0.0, so
+    # the convergence test would stop at once on the diagonal's zeros
+    with pytest.raises(DomainError, match="too small.*underflow"):
+        decomp(np.array([[0.0, 1e-200], [1e-200, 0.0]]))
+    # the limits are the solver's: 2**±511 on the norm
+    for scale in (2.0**-510, 2.0**510):
+        s = decomp(scale * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert s.values.tolist() == [scale, -scale]
+
+
 def test_scaling_equivariance():
     m1 = adjacency_matrix(signed_complete_from_tree(build_path(5)))
     m2 = SymMatrix(1e6 * m1.entries)
@@ -401,6 +441,42 @@ def test_spectrum_vectors_diagonalize():
     assert isinstance(s, Spectrum)
     assert np.max(np.abs(a @ s.vectors - s.vectors * s.values)) <= 1e-9
     assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(7))) <= 1e-12
+
+
+def test_values_never_replay_the_rotations(monkeypatch, capsys):
+    # only a read of .vectors replays the rotation log: λ1 by Jacobi, a
+    # climb (start, accepted moves and the final λ1) and the spectrum
+    # command read values alone
+    def no_replay(log, n):
+        raise AssertionError("replayed the rotation log")
+
+    monkeypatch.setattr(spectra, "_replay", no_replay)
+    assert tree_index(build_broom(12, 5)) == 8.134065793119028
+    assert run(["climb", "--n", "12", "--k", "4", "--seed", "15"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["final"]["steps"] >= 1
+    doc = spectrum_doc(capsys, build_path(6))
+    assert doc["lambda1"] == 2.6038754716096766
+    with pytest.raises(AssertionError, match="replayed"):
+        spectrum_of(signed_complete_from_tree(build_path(6))).vectors
+
+
+def test_vectors_are_computed_once_and_read_only():
+    s = spectrum_of(signed_complete_from_tree(build_path(6)))
+    v = s.vectors
+    assert s.vectors is v
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        s.vectors = v.copy()
+
+
+def test_rotation_log_skips_zero_entries():
+    # one sweep of two 2 x 2 blocks: each block's pair is turned and
+    # logged, the four zero pairs between the blocks are not
+    s = decomp([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    assert s.sweeps == 1
+    assert [(p, q) for p, q, _, _ in s._rotations] == [(0, 1), (2, 3)]
 
 
 def test_spectrum_reports_sweeps(capsys):
