@@ -22,9 +22,11 @@ Two independent enumeration routes are kept deliberately:
       classes into free ones;
   (b) canonical free-tree generation for all n <= 12: an in-house
       generator of the level sequences of Wright, Richmond, Odlyzko and
-      McKay yields one parent array per free tree, and leaf counts are
-      read from it, so a Tree is built and canonicalised only for the
-      classes a caller keeps.
+      McKay yields one parent array per free tree.  It runs once per n in
+      a process: the first call at n buckets the arrays by the leaf count
+      read from each, checks the class count, and keeps the buckets for
+      every later call at n.  A Tree is built and canonicalised only for
+      the classes a caller keeps.
 
 enumerate_tree_classes(n, method, k) is the one entry to both routes, with
 or without a leaf count k.  Each route checks its class count against
@@ -322,22 +324,39 @@ def _free_trees(n: int):
         layout = _next_rooted_tree(layout)
 
 
+# n -> {k: the parent arrays with k leaves, in generator order}, filled
+# by one generator pass per n and read by every later call at that n.  It
+# holds at most the 986 classes with n <= MAX_N.
+_BY_LEAVES: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
+
+
+def _parents_by_leaves(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every generated parent array on n vertices, bucketed by leaf count.
+    The first call at n runs the generator and checks its class count
+    over every sequence; a check that raises leaves the table as it was."""
+    if n not in _BY_LEAVES:
+        # the generator roots the 3-vertex path at its centre; that class
+        # has always been represented by the path 0-1-2
+        parents = _free_trees(n) if n != 3 else [[-1, 0, 1]]
+        buckets: dict[int, list[tuple[int, ...]]] = {}
+        count = 0
+        for parent in parents:
+            count += 1
+            # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
+            k = n - len(set(parent[1:])) + (parent.count(0) == 1)
+            buckets.setdefault(k, []).append(tuple(parent))
+        _check_class_count("free-tree generation", n, count)
+        _BY_LEAVES[n] = {k: tuple(bucket) for k, bucket in sorted(buckets.items())}
+    return _BY_LEAVES[n]
+
+
 def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:
     """The generated classes on n vertices, or only those with k leaves.
-    Leaves are counted on the parent array, so a Tree is built and
-    canonicalised only for the classes kept; the class count is checked
-    over every generated sequence all the same."""
-    # the generator roots the 3-vertex path at its centre; that class has
-    # always been represented by the path 0-1-2
-    parents = _free_trees(n) if n != 3 else [[-1, 0, 1]]
-    trees, count = [], 0
-    for parent in parents:
-        count += 1
-        # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
-        if k is not None and n - len(set(parent[1:])) + (parent.count(0) == 1) != k:
-            continue
-        trees.append(Tree(frozenset(zip(range(1, n), parent[1:]))))
-    _check_class_count("free-tree generation", n, count)
+    Leaves are counted on the parent arrays, so a Tree is built and
+    canonicalised only for the classes kept."""
+    buckets = _parents_by_leaves(n)
+    kept = buckets.get(k, ()) if k is not None else [p for b in buckets.values() for p in b]
+    trees = [Tree(frozenset(zip(range(1, n), parent[1:]))) for parent in kept]
     reps = {canonical_code(t): t for t in trees}
     if len(reps) != len(trees):
         raise InvariantViolationError(

@@ -274,19 +274,25 @@ def spectrum_of(g: SignedCompleteGraph) -> Spectrum:
     return eigen_decompose(adjacency_matrix(g))
 
 
-def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Whether λ1 > x for each tree and each x of xs, a (b, m) array, from
-    the float pivots of tree_eigs_above's bordered matrix.  parents is the
-    (b, n) stack of the trees' walk parents, Tree._walk[1]; each elimination
-    step runs on one position of every tree at every point at once.
+class _Elimination:
+    """The float counts of tree_indices for one stack of trees: above(xs)
+    says whether λ1 > x for each tree and each point of a (b, m) array xs,
+    from the float pivots of tree_eigs_above's bordered matrix.  parents is
+    the (b, n) stack of the trees' walk parents, Tree._walk[1], and m the
+    points per tree; each elimination step runs on one position of every
+    tree at every point at once.
 
     The pivots and border entries lie flat, one (b*m)-long row per walk
     position: tree r's entry for point j at position v sits at
     v*b*m + r*m + j.  A step reads its position's row as a slice and
-    writes into the parents' entries through one flat index array: the
-    parent positions times b*m, worked out once per call, plus each cell's
-    r*m + j.  A table of every step's index array would be as large as the
-    pivots, and allocating it cost more than the one addition per step.
+    writes into the parents' entries through that position's row of an
+    n x (b*m) table of flat offsets: the parent positions times b*m plus
+    each cell's r*m + j.  The table and the pivot, border and corner
+    buffers are built once per kernel, so once per tree_indices call, and
+    each pass through above() re-initialises the buffers in place.  The
+    table and the two n x (b*m) buffers take 24*n*b*m bytes: 0.73 MB for
+    the 158 classes of n = 12, k = 6 at m = _SECTIONS, the largest stack
+    that verify makes, kept over the call's 13 to 15 passes.
 
     A pivot that is exactly 0.0 becomes _ZERO_PIVOT, so it counts as
     negative and leaves its parent a huge positive pivot: the inertia of
@@ -296,32 +302,39 @@ def _above(parents: np.ndarray, xs: np.ndarray) -> np.ndarray:
     loses all precision after such a pair, but the pair's positive pivot
     has already shown, exactly, that λ1 > x.
     """
-    n = parents.shape[1]
-    cells = xs.size
-    grid = np.arange(cells).reshape(xs.shape)
-    # up[v] + grid: the flat offsets of position v's parent entries
-    up = parents.T[:, :, None] * cells
-    d = np.empty((n, cells))
-    d[:] = (-1.0 - xs).ravel()
-    b = np.ones_like(d)
-    flat_d, flat_b = d.ravel(), b.ravel()
-    corner = np.full(cells, -1.0)
-    for v in range(n - 1, -1, -1):
-        dv, bv = d[v], b[v]
-        dv[dv == 0.0] = _ZERO_PIVOT
-        r = bv / dv
-        corner -= bv * r
-        if v:
-            to = (up[v] + grid).ravel()
-            flat_d[to] -= 4.0 / dv
-            flat_b[to] += 2.0 * r
-    # each row of d now holds its position's pivot
-    return ((d > 0.0).any(axis=0) | (corner > 0.0)).reshape(xs.shape)
+
+    def __init__(self, parents: np.ndarray, m: int):
+        b, n = parents.shape
+        cells = b * m
+        # to[v]: the flat offsets of position v's parent entries (the root's
+        # row is never read)
+        self.to = parents.T.repeat(m, axis=1) * cells + np.arange(cells)
+        self.d = np.empty((n, cells))
+        self.b = np.empty((n, cells))
+        self.corner = np.empty(cells)
+
+    def above(self, xs: np.ndarray) -> np.ndarray:
+        d, b, corner = self.d, self.b, self.corner
+        d[:] = (-1.0 - xs).ravel()
+        b.fill(1.0)
+        corner.fill(-1.0)
+        flat_d, flat_b = d.ravel(), b.ravel()
+        for v in range(len(d) - 1, -1, -1):
+            dv, bv = d[v], b[v]
+            dv[dv == 0.0] = _ZERO_PIVOT
+            r = bv / dv
+            corner -= bv * r
+            if v:
+                to = self.to[v]
+                flat_d[to] -= 4.0 / dv
+                flat_b[to] += 2.0 * r
+        # each row of d now holds its position's pivot
+        return ((d > 0.0).any(axis=0) | (corner > 0.0)).reshape(xs.shape)
 
 
 def tree_indices(trees: Sequence[Tree]) -> list[float]:
     """λ1 of (K_n, T-) for each tree of negative edges, all on the same n,
-    by multisection on the float counts of _above: no eigensolve.
+    by multisection on the float counts of _Elimination: no eigensolve.
 
     Each bracket starts at [(n-1)(n-4)/n - 1, n]: the all-ones Rayleigh
     quotient (n-1)(n-4)/n is at most λ1, and λ1 is at most n - 1, which
@@ -353,9 +366,10 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
     flags = np.zeros((len(trees), _SECTIONS + 1), bool)
     flat, row_at = ends.ravel(), np.arange(0, ends.size, _SECTIONS + 2)
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    kernel = _Elimination(parents, _SECTIONS)
     while np.any(np.nextafter(lo, hi) < hi):
         xs[:] = lo[:, None] + (hi - lo)[:, None] * frac
-        flags[:, :-1] = _above(parents, xs)
+        flags[:, :-1] = kernel.above(xs)
         # the first point with no eigenvalue above it, and the one before
         j = row_at + flags.argmin(axis=1)
         lo[:], hi[:] = flat[j], flat[j + 1]

@@ -332,8 +332,11 @@ def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
         m.setattr(search, "canonical_code", lambda t: "10")
         with pytest.raises(InvariantViolationError, match="collapsed"):
             enumerate_tree_classes(8, k=4)
-    # the class count runs over every generated sequence, kept or not
+    # the class count runs over every generated sequence, kept or not; it
+    # runs when the table of parent arrays is filled, so start from an
+    # empty table for the patched generator to fill
     generate = search._free_trees
+    monkeypatch.setattr(search, "_BY_LEAVES", {})
     monkeypatch.setattr(search, "_free_trees", lambda n: list(generate(n))[1:])
     with pytest.raises(InvariantViolationError, match="expected 23"):
         enumerate_tree_classes(8, k=4)
@@ -344,24 +347,72 @@ def test_class_count_past_the_table_is_a_domain_error():
     # count check, which names the limit rather than failing on the table
     with pytest.raises(DomainError, match=f"MAX_N = {search.MAX_N}"):
         search._classes_by_generation(search.MAX_N + 1)
+    # and a fill that raises stores nothing, so the next call raises again
+    assert search.MAX_N + 1 not in search._BY_LEAVES
+    with pytest.raises(DomainError, match=f"MAX_N = {search.MAX_N}"):
+        search._classes_by_generation(search.MAX_N + 1)
+
+
+def test_each_n_is_generated_once(monkeypatch):
+    calls = []
+    generate = search._free_trees
+
+    def counted(n):
+        calls.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(search, "_BY_LEAVES", {})
+    monkeypatch.setattr(search, "_free_trees", counted)
+    for k in range(2, 10):
+        verify_max_index(10, k)
+    assert calls == [10]
+
+
+def test_leaf_buckets_hold_every_generated_array_once():
+    for n in range(2, search.MAX_N + 1):
+        buckets = search._parents_by_leaves(n)
+        generated = [[-1, 0, 1]] if n == 3 else list(search._free_trees(n))
+        assert list(buckets) == (list(range(2, n)) if n > 2 else [2]), n
+        assert sum(len(b) for b in buckets.values()) == len(generated) == FREE_TREE_COUNTS[n]
+        for k, bucket in buckets.items():
+            assert isinstance(bucket, tuple) and all(isinstance(p, tuple) for p in bucket)
+            # in generator order, and exactly the arrays with k leaves
+            assert [list(p) for p in bucket] == [
+                p for p in generated if leaf_count(Tree(frozenset(zip(range(1, n), p[1:])))) == k
+            ], (n, k)
+
+
+def test_sweep_reads_the_same_from_an_empty_and_a_full_table(monkeypatch, capsys):
+    argv = ["sweep", "--n-min", "6", "--n-max", "10", "--all-k"]
+    monkeypatch.setattr(search, "_BY_LEAVES", {})
+    assert run(argv) == 0
+    cold = capsys.readouterr().out
+    assert sorted(search._BY_LEAVES) == list(range(6, 11))
+
+    def no_generation(n):
+        raise AssertionError(f"generated n={n} again")
+
+    monkeypatch.setattr(search, "_free_trees", no_generation)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == cold
 
 
 def test_verify_and_chain_solve_as_one_stack(monkeypatch):
     # no Jacobi solve: each call counts all of its trees at once, in every
     # multisection pass
     singles, stacks = [], []
-    solve, above = spectra._jacobi_sweeps, spectra._above
+    solve, above = spectra._jacobi_sweeps, spectra._Elimination.above
 
     def counted_solve(*args):
         singles.append(args)
         return solve(*args)
 
-    def counted_above(parents, xs):
-        stacks.append(len(parents))
-        return above(parents, xs)
+    def counted_above(kernel, xs):
+        stacks.append(len(xs))
+        return above(kernel, xs)
 
     monkeypatch.setattr(spectra, "_jacobi_sweeps", counted_solve)
-    monkeypatch.setattr(spectra, "_above", counted_above)
+    monkeypatch.setattr(spectra._Elimination, "above", counted_above)
     r = verify_max_index(12, 5)
     passes = len(stacks)
     chain = double_star_chain(12)
@@ -380,11 +431,11 @@ def test_hill_climb_solves_one_tree_at_a_time(monkeypatch):
         sizes.append(m.n)
         return decompose(m)
 
-    def no_stack(parents, xs):
-        raise AssertionError(f"hill_climb stacked {len(parents)} trees")
+    def no_stack(kernel, xs):
+        raise AssertionError(f"hill_climb stacked {len(xs)} trees")
 
     monkeypatch.setattr(spectra, "eigen_decompose", counted)
-    monkeypatch.setattr(spectra, "_above", no_stack)
+    monkeypatch.setattr(spectra._Elimination, "above", no_stack)
     spider = Tree(frozenset({(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)}))
     _, trace = hill_climb(spider)
     assert len(trace) >= 1

@@ -612,6 +612,11 @@ def test_tree_indices_bits_golden(classes_of):
     assert h.hexdigest() == TREE_INDICES_SHA256
 
 
+def above(parents, xs):
+    """One pass of a fresh elimination kernel over the (b, m) points xs."""
+    return spectra._Elimination(parents, xs.shape[1]).above(xs)
+
+
 def test_above_is_strict_at_the_star_index():
     # the star's λ1 is n - 1, and x = n - 1 is not above it: the float
     # corner ends at exactly 0.0 for n = 4 and 8, and rounds below it for
@@ -619,7 +624,7 @@ def test_above_is_strict_at_the_star_index():
     # read True and are left out)
     for n in (4, 5, 6, 7, 8, 10):
         parents = np.array([build_star(n)._walk[1]])
-        assert not spectra._above(parents, np.array([[n - 1.0]]))[0, 0], n
+        assert not above(parents, np.array([[n - 1.0]]))[0, 0], n
 
 
 def ulps_away(v, k):
@@ -644,7 +649,7 @@ def test_tree_indices_through_zero_pivots():
         trees = list(enumerate_tree_classes(n).values())
         parents = np.array([t._walk[1] for t in trees])
         assert all(tree_eigs_above(t, -1) is None for t in trees)
-        assert spectra._above(parents, np.full((len(trees), 3), -1.0)).all(), n
+        assert above(parents, np.full((len(trees), 3), -1.0)).all(), n
     # λ1 exactly n - 1 for the star and 2s - 1 for S(s, s), s >= 2 (a
     # double eigenvalue at s = 2), each a zero pivot of the exact count
     for t, proved in [(build_star(n), n - 1) for n in range(2, 17)] + [
@@ -655,8 +660,51 @@ def test_tree_indices_through_zero_pivots():
         assert abs(lam - proved) <= 8 * math.ulp(proved), (t.n, lam)
 
 
+def test_multisection_takes_13_to_15_passes(monkeypatch, classes_of):
+    # each bracket starts over 4 and under 6 wide, and a pass narrows it
+    # 17-fold: 14 passes take it below 6/17**14 < 2**-53, under an ulp of
+    # every λ1 here (none below 1 - 2**-53), and one more splits a bracket a
+    # few ulp wide; 12 leave it over 4/17**12, more than an ulp of any λ1
+    # below 16.  A bracket that stops shrinking fails here at pass 16
+    # rather than looping for ever.
+    one_pass = spectra._Elimination.above
+    passes = []
+
+    def counted(kernel, xs):
+        passes[-1] += 1
+        assert passes[-1] <= 15, "multisection ran past 15 passes"
+        return one_pass(kernel, xs)
+
+    monkeypatch.setattr(spectra._Elimination, "above", counted)
+    for n in range(2, 13):
+        trees = classes_of(n)
+        for k in sorted({leaf_count(t) for t in trees}):
+            passes.append(0)
+            tree_indices([t for t in trees if leaf_count(t) == k])
+    assert 13 <= min(passes) and max(passes) <= 15
+
+
+def test_kernel_passes_do_not_leak_into_each_other():
+    # a pass at x = -1 writes _ZERO_PIVOT at every leaf and huge entries
+    # into the parents, border and corner; a pass after it must read as a
+    # fresh kernel's, and so must a pass at x = -1 after ordinary points
+    for n in (2, 5, 8, 10):
+        trees = list(enumerate_tree_classes(n).values())
+        parents = np.array([t._walk[1] for t in trees])
+        low = (n - 1) * (n - 4) / n - 1.0
+        points = np.tile(np.linspace(low, n, 9), (len(trees), 1))
+        zeros = np.full_like(points, -1.0)
+        fresh = above(parents, points)
+        assert fresh.any() and not fresh.all(), n
+        kernel = spectra._Elimination(parents, points.shape[1])
+        assert kernel.above(zeros).all(), n
+        assert (kernel.above(points) == fresh).all(), n
+        assert kernel.above(zeros).all(), n
+        assert (kernel.above(points) == fresh).all(), n
+
+
 def test_above_reads_generator_parent_arrays_as_walks():
-    # _free_trees' arrays have the walk's form, up[i] < i, so _above gives
+    # _free_trees' arrays have the walk's form, up[i] < i, so the kernel gives
     # on them the answers it gives on the Tree walks of the same classes,
     # at every point more than 1e-9 from every eigenvalue
     checked = 0
@@ -669,8 +717,8 @@ def test_above_reads_generator_parent_arrays_as_walks():
         grid = np.linspace((n - 1) * (n - 4) / n - 1.0, n, 96)
         xs = np.c_[np.tile(grid, (len(trees), 1)), lam - 1e-8, lam + 1e-8]
         far = (np.abs(xs[:, :, None] - eigs[:, None, :]) > 1e-9).all(axis=2)
-        from_arrays = spectra._above(np.array(ups), xs)
-        from_trees = spectra._above(np.array([t._walk[1] for t in trees]), xs)
+        from_arrays = above(np.array(ups), xs)
+        from_trees = above(np.array([t._walk[1] for t in trees]), xs)
         assert (from_arrays == from_trees)[far].all(), n
         assert (from_arrays == (lam > xs))[far].all(), n
         checked += far.sum()
