@@ -6,27 +6,20 @@ Two independent enumeration routes are kept deliberately:
 
   (a) decode every Prufer sequence and deduplicate by canonical code
       (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
-      numpy kernel decodes PRUFER_BLOCK rows of the base-n sequence order
-      at a time, one leaf-peel step per symbol position, which roots each
-      tree at n-1.  Each row keeps its leaves as an n-bit mask, whose
-      lowest bit is the leaf peeled next.  The kernel keys each row by its
-      Matula number rooted at n-1 (D. W. Matula, "A natural rooted tree
-      enumeration by prime factorization", SIAM Rev. 10, 1968): 1 for a
-      lone vertex, else the product of the m-th primes over the children,
-      m a child's number.  Two rooted trees have equal numbers exactly
-      when they are isomorphic, and a product ignores child order, so the
-      peel multiplies each number up as it goes.  A table of the keys seen
-      so far picks out the first sequence of each rooted class, and only
-      that one goes through the scalar prufer_decode, whose _matula must
-      agree with the kernel, and canonical_code, which merges the rooted
-      classes into free ones;
+      numpy kernel, _peel, decodes a block of sequences at a time and
+      keys each tree by its Matula number rooted at n-1 (D. W. Matula,
+      "A natural rooted tree enumeration by prime factorization", SIAM
+      Rev. 10, 1968), equal exactly for rooted-isomorphic trees.  Only the
+      first sequence of each rooted class goes through the scalar
+      prufer_decode and canonical_code.  The route never calls the
+      generator, so its agreement with (b) checks both;
   (b) canonical free-tree generation for all n <= 12: an in-house
       generator of the level sequences of Wright, Richmond, Odlyzko and
       McKay yields one parent array per free tree.  It runs once per n in
       a process: the first call at n buckets the arrays by the leaf count
-      read from each, checks the class count, and keeps the buckets for
-      every later call at n.  A Tree is built and canonicalised only for
-      the classes a caller keeps.
+      read from each and checks the class count, and functools.cache
+      keeps the buckets for every later call at n.  A Tree is built and
+      canonicalised only for the classes a caller keeps.
 
 enumerate_tree_classes(n, method, k) is the one entry to both routes, with
 or without a leaf count k.  Each route checks its class count against
@@ -38,6 +31,7 @@ The results are plain dataclasses and lists; cli formats them for output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,51 +121,46 @@ def _check_class_count(route: str, n: int, count: int) -> None:
 
 def _block_symbols(n: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the base-n order of all Prufer sequences, as
-    itertools.product(range(n), repeat=n-2) lists them: row i spells i in
-    base n, most significant symbol first.
-
-    The digits are computed symbol-major, as a contiguous (n-2, b) array
-    with position j's symbols in row j, and its transpose is returned: a
-    (b, n-2) view whose rows are the sequences and whose .T is the
-    contiguous array that _peel walks one position at a time."""
+    itertools.product(range(n), repeat=n-2) lists them, symbol-major: a
+    contiguous (n-2, stop-start) array whose column i spells start+i in
+    base n, most significant symbol first, so that row j holds every
+    sequence's symbol at position j."""
     # int32 holds every row number up to MAX_PRUFER_N**(MAX_PRUFER_N-2),
     # and divides faster than int64
     powers = n ** np.arange(n - 3, -1, -1, dtype=np.int32)
-    return (np.arange(start, stop, dtype=np.int32) // powers[:, None] % n).T
+    return np.arange(start, stop, dtype=np.int32) // powers[:, None] % n
 
 
-def _peel(symbols: np.ndarray, n: int) -> np.ndarray:
-    """Decode a block of Prufer rows together, one leaf-peel step per
-    symbol position, taking the smallest leaf as prufer_decode does, and
-    return each row's Matula number rooted at n-1.
+def _peel(symbols: np.ndarray) -> np.ndarray:
+    """Decode a symbol-major block of Prufer sequences together, one
+    leaf-peel step per symbol position, taking the smallest leaf as
+    prufer_decode does, and return each sequence's Matula number rooted
+    at n-1, where n = len(symbols) + 2.
 
-    Each row keeps its leaves as an n-bit mask, bit v for vertex v
+    Each sequence keeps its leaves as an n-bit mask, bit v for vertex v
     (n <= MAX_PRUFER_N, so a mask fits in any int).  A vertex's degree is
     1 plus its number of occurrences, so the leaves before the first step
-    are the vertices absent from the row, and symbol s_i becomes a leaf
-    right after step i if position i is its last occurrence.  Step i takes
-    the mask's lowest bit, multiplies that leaf's number, as a prime, into
-    s_i's, clears the bit, and sets s_i's on its last occurrence.  A vertex
-    is peeled only once all its neighbours but the one toward n-1 are
-    gone, each of them multiplied into its number as it was peeled, so its
-    number is complete when it joins its parent.
+    are the vertices absent from the sequence, and symbol s_i becomes a
+    leaf right after step i if position i is its last occurrence.  Step i
+    takes the mask's lowest bit, multiplies that leaf's number, as a
+    prime, into s_i's, clears the bit, and sets s_i's on its last
+    occurrence.  A vertex is peeled only once all its neighbours but the
+    one toward n-1 are gone, each of them multiplied into its number as
+    it was peeled, so its number is complete when it joins its parent.
 
-    A row of any other length than n-2 raises InvariantViolationError.
-    Every row of n-2 symbols below n is a Prufer code, so the check that
-    the peel ends on n-1 and one other leaf fails only on a wrong kernel.
+    Every sequence of n-2 symbols below n is a Prufer code, so the check
+    that the peel ends on n-1 and one other leaf fails only on a wrong
+    kernel.
 
-    Layouts: symbols is (b, n-2), read one position at a time through its
-    transpose, which _block_symbols makes contiguous.  The numbers are one
-    flat array, row r's vertex v at v*b + r, and a 2**n table maps a
+    Layouts: symbols is (n-2, b), row i holding position i of the b
+    sequences, as _block_symbols makes it.  The numbers are one flat
+    array, sequence r's vertex v at v*b + r, and a 2**n table maps a
     mask's lowest bit 1 << v to v*b."""
-    b, m = symbols.shape
-    if m != n - 2:
-        raise InvariantViolationError(
-            f"Prufer rows at n={n} need {n - 2} symbols, got {m}"
-        )
+    m, b = symbols.shape
+    n = m + 2
     # a copy, made into offsets in place below; a stack of empty sequences
     # reads as float, and shifts and offsets need ints
-    parent_at = symbols.T.astype(np.intp)
+    parent_at = symbols.astype(np.intp)
     # later[i] gathers the vertices at position i or later, by m-1 ORs in
     # place; the vertices in no position are the first leaves
     later = np.left_shift(1, parent_at)
@@ -237,24 +226,22 @@ def _classes_by_prufer(n: int) -> dict[str, Tree]:
         )
     total = n ** (n - 2)
     seen = np.zeros(_PRIME[-1] + 1, bool)
-    first: list[tuple[int, int]] = []
+    reps: dict[str, Tree] = {}
     for start in range(0, total, PRUFER_BLOCK):
-        keys = _peel(_block_symbols(n, start, min(start + PRUFER_BLOCK, total)), n)
+        block = _block_symbols(n, start, min(start + PRUFER_BLOCK, total))
+        keys = _peel(block)
         fresh = np.flatnonzero(~seen[keys])
         for i, key in zip(fresh.tolist(), keys[fresh].tolist()):
             if not seen[key]:
                 seen[key] = True
-                first.append((key, start + i))
-    reps: dict[str, Tree] = {}
-    for key, i in first:
-        t = prufer_decode(PruferSequence(_block_symbols(n, i, i + 1)[0]))
-        number = _matula(t.adjacency(), n - 1)
-        if number != key:
-            raise InvariantViolationError(
-                f"Prufer kernel key {key} of row {i} at n={n} differs from "
-                f"its Matula number rooted at {n - 1}, {number}"
-            )
-        reps.setdefault(canonical_code(t), t)
+                t = prufer_decode(PruferSequence(block[:, i]))
+                number = _matula(t.adjacency(), n - 1)
+                if number != key:
+                    raise InvariantViolationError(
+                        f"Prufer kernel key {key} of row {start + i} at n={n} differs "
+                        f"from its Matula number rooted at {n - 1}, {number}"
+                    )
+                reps.setdefault(canonical_code(t), t)
     _check_class_count("Prufer enumeration", n, len(reps))
     return reps
 
@@ -324,30 +311,23 @@ def _free_trees(n: int):
         layout = _next_rooted_tree(layout)
 
 
-# n -> {k: the parent arrays with k leaves, in generator order}, filled
-# by one generator pass per n and read by every later call at that n.  It
-# holds at most the 986 classes with n <= MAX_N.
-_BY_LEAVES: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
-
-
+@functools.cache
 def _parents_by_leaves(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Every generated parent array on n vertices, bucketed by leaf count.
-    The first call at n runs the generator and checks its class count
-    over every sequence; a check that raises leaves the table as it was."""
-    if n not in _BY_LEAVES:
-        # the generator roots the 3-vertex path at its centre; that class
-        # has always been represented by the path 0-1-2
-        parents = _free_trees(n) if n != 3 else [[-1, 0, 1]]
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        count = 0
-        for parent in parents:
-            count += 1
-            # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
-            k = n - len(set(parent[1:])) + (parent.count(0) == 1)
-            buckets.setdefault(k, []).append(tuple(parent))
-        _check_class_count("free-tree generation", n, count)
-        _BY_LEAVES[n] = {k: tuple(bucket) for k, bucket in sorted(buckets.items())}
-    return _BY_LEAVES[n]
+    """Every generated parent array on n vertices, bucketed by leaf count,
+    k ascending, each bucket in generator order.  One generator pass per n
+    fills the cache, whose class-count check runs over every sequence; a
+    check that raises caches nothing.  The cache holds at most the 986
+    classes with n <= MAX_N."""
+    # the generator roots the 3-vertex path at its centre; that class
+    # has always been represented by the path 0-1-2
+    parents = _free_trees(n) if n != 3 else [[-1, 0, 1]]
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for parent in parents:
+        # a vertex other than 0 is a leaf iff it is no parent; 0 iff it has one child
+        k = n - len(set(parent[1:])) + (parent.count(0) == 1)
+        buckets.setdefault(k, []).append(tuple(parent))
+    _check_class_count("free-tree generation", n, sum(map(len, buckets.values())))
+    return {k: tuple(bucket) for k, bucket in sorted(buckets.items())}
 
 
 def _classes_by_generation(n: int, k: int | None = None) -> dict[str, Tree]:

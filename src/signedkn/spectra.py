@@ -40,6 +40,13 @@ MAX_SWEEPS = 100
 # a pass narrows every bracket by a factor of _SECTIONS + 1.
 _SECTIONS = 16
 
+# Passes after which tree_indices gives up on a bracket: each starts under 6
+# wide and a pass narrows it 17-fold, so 14 passes take it under an ulp of
+# any λ1 >= 1 (the least is 1, at n = 2), and every class with n <= 12 and
+# random trees up to n = 100 close in 12 to 15; an open bracket at 64 is a
+# kernel fault.
+_MAX_PASSES = 64
+
 # Stands in for a float pivot that is exactly 0.0, so that it counts as
 # negative and turns its parent's pivot hugely positive; 1/_ZERO_PIVOT
 # squared still stays finite.
@@ -343,6 +350,8 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
     the point before it are the new ends, until the ends are adjacent
     floats.  The value returned is the upper end: the least float found
     with no eigenvalue above it, λ1 rounded up when the counts are exact.
+    A bracket still open after _MAX_PASSES (64) passes, where correct
+    counts take 12 to 15, raises InvariantViolationError.
     Every value is within 4 ulp of that float on all classes with n <= 12.
 
     A tree's value does not depend on the others in the stack: every step
@@ -367,13 +376,19 @@ def tree_indices(trees: Sequence[Tree]) -> list[float]:
     flat, row_at = ends.ravel(), np.arange(0, ends.size, _SECTIONS + 2)
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
     kernel = _Elimination(parents, _SECTIONS)
-    while np.any(np.nextafter(lo, hi) < hi):
+    # every bracket starts open, at least 4 wide
+    for _ in range(_MAX_PASSES):
         xs[:] = lo[:, None] + (hi - lo)[:, None] * frac
         flags[:, :-1] = kernel.above(xs)
         # the first point with no eigenvalue above it, and the one before
         j = row_at + flags.argmin(axis=1)
         lo[:], hi[:] = flat[j], flat[j + 1]
-    return hi.tolist()
+        if not np.any(np.nextafter(lo, hi) < hi):
+            return hi.tolist()
+    raise InvariantViolationError(
+        f"tree_indices at n={n}: {np.count_nonzero(np.nextafter(lo, hi) < hi)} of "
+        f"{len(trees)} brackets still open after {_MAX_PASSES} passes"
+    )
 
 
 def tree_index(t: Tree) -> float:

@@ -65,6 +65,22 @@ def test_representatives_are_valid_and_sorted(classes_of):
             assert t.n == n
 
 
+def test_prufer_route_peels_each_sequence_once(monkeypatch):
+    # the blocks cover rows 0..n**(n-2)-1 once, in order; the check runs
+    # inside the peel, so a route that overruns fails at once
+    peel, widths = search._peel, []
+
+    def counted(symbols):
+        widths.append(symbols.shape[1])
+        assert sum(widths) <= 7**5, "peeled past the last sequence"
+        return peel(symbols)
+
+    monkeypatch.setattr(search, "_peel", counted)
+    monkeypatch.setattr(search, "PRUFER_BLOCK", 5000)
+    enumerate_tree_classes(7, method="prufer")
+    assert widths == [5000, 5000, 5000, 1807]
+
+
 def test_prufer_route_matches_generation():
     for n in range(2, 8):
         codes = list(enumerate_tree_classes(n))
@@ -93,18 +109,18 @@ def test_prufer_kernel_agrees_with_scalar_codec():
             search._block_symbols(n, start, min(start + search.PRUFER_BLOCK, total))
             for start in range(0, total, search.PRUFER_BLOCK)
         ]
-        symbols = np.concatenate(blocks)
+        symbols = np.concatenate(blocks, axis=1).T
         assert symbols.tolist() == [
             list(s) for s in itertools.product(range(n), repeat=n - 2)
         ]
-        keys = np.concatenate([search._peel(block, n) for block in blocks])
+        keys = np.concatenate([search._peel(block) for block in blocks])
         for row, key in zip(symbols.tolist(), keys.tolist()):
             t = prufer_decode(PruferSequence(row))
             assert key == search._matula(t.adjacency(), n - 1)
         # one key per rooted class: the rooted-tree counts (OEIS A000081)
         assert len(set(keys.tolist())) == {4: 4, 5: 9, 6: 20, 7: 48}[n]
     # the 16807 rows at n = 7 fill 8 blocks and a ragged ninth
-    assert [len(block) for block in blocks] == [2048] * 8 + [423]
+    assert [block.shape[1] for block in blocks] == [2048] * 8 + [423]
 
 
 def test_prufer_kernel_on_the_deepest_and_shallowest_rooted_trees():
@@ -124,7 +140,7 @@ def test_prufer_kernel_on_the_deepest_and_shallowest_rooted_trees():
             ),
         ]
         symbols = np.array([prufer_encode(t).symbols for t in trees])
-        keys = search._peel(symbols.reshape(3, n - 2), n)
+        keys = search._peel(symbols.reshape(3, n - 2).T)
         for t, key in zip(trees, keys.tolist()):
             assert key == search._matula(t.adjacency(), n - 1), (n, t)
 
@@ -160,6 +176,18 @@ def test_prufer_keys_fit_the_seen_table(classes_of):
     assert max(numbers) == search._PRIME[-1] == search._PRIME[2221] == 19577
 
 
+def test_prufer_seen_table_takes_the_largest_key(monkeypatch):
+    # row 922 = (0, 0, 0, 1, 2, 3, 4) at n = 9 is keyed _PRIME[-1], the
+    # largest key; the route, fed only the first 2048 rows, marks it in its
+    # table of keys seen and then finds too few classes
+    block = search._block_symbols
+    assert search._peel(block(9, 922, 923)).tolist() == [search._PRIME[-1]]
+    monkeypatch.setattr(search, "_block_symbols", lambda n, start, stop: block(n, 0, 2048))
+    monkeypatch.setattr(search, "PRUFER_BLOCK", 9**7)
+    with pytest.raises(InvariantViolationError, match="produced 19 classes, expected 47$"):
+        search._classes_by_prufer(9)
+
+
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
     default = enumerate_tree_classes(7, method="prufer")
     monkeypatch.setattr(search, "PRUFER_BLOCK", 7)
@@ -180,17 +208,26 @@ def test_prufer_route_streams_blocks():
 
 
 def test_prufer_kernel_raises_on_corrupted_rows(monkeypatch):
-    # rows one symbol short, one long and two long all raise, naming the length
-    rng = np.random.default_rng(0)
-    for n in range(3, search.MAX_PRUFER_N + 1):
-        for length in (n - 3, n - 1, n):
-            message = f"need {n - 2} symbols, got {length}$"
-            with pytest.raises(InvariantViolationError, match=message):
-                search._peel(rng.integers(0, n, (64, length)), n)
     # a representative whose scalar Matula number disagrees with its key
     with monkeypatch.context() as m:
         m.setattr(search, "_matula", lambda adj, root: 1)
         with pytest.raises(InvariantViolationError, match="differs from its Matula"):
+            enumerate_tree_classes(5, method="prufer")
+    # the message names the key, the row and the root: here the second
+    # representative, row 1 = (0, 0, 1), keyed 17
+    matula, calls = search._matula, []
+
+    def second_wrong(adj, root):
+        calls.append(root)
+        return 1 if len(calls) == 2 else matula(adj, root)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_matula", second_wrong)
+        message = (
+            "^Prufer kernel key 17 of row 1 at n=5 differs from its Matula number "
+            "rooted at 4, 1$"
+        )
+        with pytest.raises(InvariantViolationError, match=message):
             enumerate_tree_classes(5, method="prufer")
     # canonical codes that merge every rooted class leave too few classes
     monkeypatch.setattr(search, "canonical_code", lambda t: "10")
@@ -223,6 +260,15 @@ def test_enumeration_validation():
         enumerate_tree_classes(6, method="magic")
     with pytest.raises(DomainError):
         enumerate_tree_classes(10, method="prufer")
+
+
+def test_prufer_route_limit_is_inclusive(monkeypatch):
+    # n = MAX_PRUFER_N decodes and one more raises; a lowered limit shows
+    # both sides without decoding all 9**7 sequences
+    monkeypatch.setattr(search, "MAX_PRUFER_N", 6)
+    assert len(enumerate_tree_classes(6, method="prufer")) == FREE_TREE_COUNTS[6]
+    with pytest.raises(DomainError, match="n <= 6, got 7$"):
+        enumerate_tree_classes(7, method="prufer")
 
 
 def test_leaf_partition(classes_of):
@@ -325,7 +371,17 @@ def test_verify_builds_only_its_leaf_classes(monkeypatch):
     assert len(built) <= len(r.classes) + 1 < FREE_TREE_COUNTS[12]
 
 
-def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
+@pytest.fixture
+def empty_leaf_cache():
+    """Start with an empty _parents_by_leaves cache and empty it again
+    after the test, so that a patched _free_trees neither reads an entry
+    cached before nor leaves one behind."""
+    search._parents_by_leaves.cache_clear()
+    yield
+    search._parents_by_leaves.cache_clear()
+
+
+def test_leaf_filter_keeps_the_generation_checks(monkeypatch, empty_leaf_cache):
     with pytest.raises(DomainError):
         enumerate_tree_classes(13, k=4)
     with monkeypatch.context() as m:
@@ -333,10 +389,10 @@ def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
         with pytest.raises(InvariantViolationError, match="collapsed"):
             enumerate_tree_classes(8, k=4)
     # the class count runs over every generated sequence, kept or not; it
-    # runs when the table of parent arrays is filled, so start from an
-    # empty table for the patched generator to fill
+    # runs when the cache of parent arrays is filled, so clear the cache
+    # for the patched generator to fill
     generate = search._free_trees
-    monkeypatch.setattr(search, "_BY_LEAVES", {})
+    search._parents_by_leaves.cache_clear()
     monkeypatch.setattr(search, "_free_trees", lambda n: list(generate(n))[1:])
     with pytest.raises(InvariantViolationError, match="expected 23"):
         enumerate_tree_classes(8, k=4)
@@ -345,15 +401,17 @@ def test_leaf_filter_keeps_the_generation_checks(monkeypatch):
 def test_class_count_past_the_table_is_a_domain_error():
     # the public entry stops at MAX_N; a private call past it reaches the
     # count check, which names the limit rather than failing on the table
+    cached = search._parents_by_leaves.cache_info().currsize
     with pytest.raises(DomainError, match=f"MAX_N = {search.MAX_N}"):
         search._classes_by_generation(search.MAX_N + 1)
     # and a fill that raises stores nothing, so the next call raises again
-    assert search.MAX_N + 1 not in search._BY_LEAVES
+    assert search._parents_by_leaves.cache_info().currsize == cached
     with pytest.raises(DomainError, match=f"MAX_N = {search.MAX_N}"):
         search._classes_by_generation(search.MAX_N + 1)
+    assert search._parents_by_leaves.cache_info().currsize == cached
 
 
-def test_each_n_is_generated_once(monkeypatch):
+def test_each_n_is_generated_once(monkeypatch, empty_leaf_cache):
     calls = []
     generate = search._free_trees
 
@@ -361,7 +419,6 @@ def test_each_n_is_generated_once(monkeypatch):
         calls.append(n)
         return generate(n)
 
-    monkeypatch.setattr(search, "_BY_LEAVES", {})
     monkeypatch.setattr(search, "_free_trees", counted)
     for k in range(2, 10):
         verify_max_index(10, k)
@@ -382,12 +439,22 @@ def test_leaf_buckets_hold_every_generated_array_once():
             ], (n, k)
 
 
-def test_sweep_reads_the_same_from_an_empty_and_a_full_table(monkeypatch, capsys):
+def test_sweep_reads_the_same_from_an_empty_and_a_full_table(
+    monkeypatch, capsys, empty_leaf_cache
+):
     argv = ["sweep", "--n-min", "6", "--n-max", "10", "--all-k"]
-    monkeypatch.setattr(search, "_BY_LEAVES", {})
+    calls = []
+    generate = search._free_trees
+
+    def logged(n):
+        calls.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(search, "_free_trees", logged)
     assert run(argv) == 0
     cold = capsys.readouterr().out
-    assert sorted(search._BY_LEAVES) == list(range(6, 11))
+    assert calls == list(range(6, 11))
+    assert search._parents_by_leaves.cache_info().currsize == 5
 
     def no_generation(n):
         raise AssertionError(f"generated n={n} again")

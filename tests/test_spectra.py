@@ -684,6 +684,32 @@ def test_multisection_takes_13_to_15_passes(monkeypatch, classes_of):
     assert 13 <= min(passes) and max(passes) <= 15
 
 
+def test_multisection_raises_past_its_pass_cap(monkeypatch, classes_of):
+    # a stack that takes p passes returns its values at a cap of p and
+    # raises at p - 1, naming n, the open brackets and the stack size; at
+    # n = 8 one of the 23 brackets needs the last pass
+    one_pass = spectra._Elimination.above
+    passes = []
+
+    def counted(kernel, xs):
+        passes.append(len(xs))
+        return one_pass(kernel, xs)
+
+    monkeypatch.setattr(spectra._Elimination, "above", counted)
+    trees = classes_of(8)
+    values = tree_indices(trees)
+    p = len(passes)
+    monkeypatch.setattr(spectra, "_MAX_PASSES", p)
+    assert tree_indices(trees) == values
+    monkeypatch.setattr(spectra, "_MAX_PASSES", p - 1)
+    message = f"^tree_indices at n=8: 1 of 23 brackets still open after {p - 1} passes$"
+    with pytest.raises(InvariantViolationError, match=message):
+        tree_indices(trees)
+    monkeypatch.setattr(spectra, "_MAX_PASSES", 0)
+    with pytest.raises(InvariantViolationError, match="23 of 23 brackets .* 0 passes$"):
+        tree_indices(trees)
+
+
 def test_kernel_passes_do_not_leak_into_each_other():
     # a pass at x = -1 writes _ZERO_PIVOT at every leaf and huge entries
     # into the parents, border and corner; a pass after it must read as a
