@@ -65,22 +65,6 @@ def test_representatives_are_valid_and_sorted(classes_of):
             assert t.n == n
 
 
-def test_prufer_route_peels_each_sequence_once(monkeypatch):
-    # the blocks cover rows 0..n**(n-2)-1 once, in order; the check runs
-    # inside the peel, so a route that overruns fails at once
-    peel, widths = search._peel, []
-
-    def counted(symbols):
-        widths.append(symbols.shape[1])
-        assert sum(widths) <= 7**5, "peeled past the last sequence"
-        return peel(symbols)
-
-    monkeypatch.setattr(search, "_peel", counted)
-    monkeypatch.setattr(search, "PRUFER_BLOCK", 5000)
-    enumerate_tree_classes(7, method="prufer")
-    assert widths == [5000, 5000, 5000, 1807]
-
-
 def test_prufer_route_matches_generation():
     for n in range(2, 8):
         codes = list(enumerate_tree_classes(n))
@@ -189,11 +173,25 @@ def test_prufer_seen_table_takes_the_largest_key(monkeypatch):
 
 
 def test_prufer_route_ignores_block_boundaries(monkeypatch):
+    # at any block width the blocks cover rows 0..n**(n-2)-1 once, in
+    # order; the check runs inside the peel, so a route that overruns
+    # fails at once
     default = enumerate_tree_classes(7, method="prufer")
-    monkeypatch.setattr(search, "PRUFER_BLOCK", 7)
-    small = enumerate_tree_classes(7, method="prufer")
-    assert list(small) == list(default)
-    assert small == default
+    peel, widths = search._peel, []
+
+    def counted(symbols):
+        widths.append(symbols.shape[1])
+        assert sum(widths) <= 7**5, "peeled past the last sequence"
+        return peel(symbols)
+
+    monkeypatch.setattr(search, "_peel", counted)
+    for block in (7, 5000):
+        widths.clear()
+        monkeypatch.setattr(search, "PRUFER_BLOCK", block)
+        small = enumerate_tree_classes(7, method="prufer")
+        assert list(small) == list(default)
+        assert small == default
+    assert widths == [5000, 5000, 5000, 1807]
 
 
 def test_prufer_route_streams_blocks():
@@ -251,7 +249,7 @@ def test_generator_matches_networkx():
     assert counts == {**FREE_TREE_COUNTS, 13: 1301, 14: 3159}
 
 
-def test_enumeration_validation():
+def test_enumeration_validation(monkeypatch):
     with pytest.raises(DomainError):
         enumerate_tree_classes(1)
     with pytest.raises(DomainError):
@@ -260,9 +258,6 @@ def test_enumeration_validation():
         enumerate_tree_classes(6, method="magic")
     with pytest.raises(DomainError):
         enumerate_tree_classes(10, method="prufer")
-
-
-def test_prufer_route_limit_is_inclusive(monkeypatch):
     # n = MAX_PRUFER_N decodes and one more raises; a lowered limit shows
     # both sides without decoding all 9**7 sequences
     monkeypatch.setattr(search, "MAX_PRUFER_N", 6)

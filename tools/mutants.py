@@ -1,7 +1,7 @@
 """Operator mutation testing with the standard library alone.
 
     python tools/mutants.py MODULE FUNCTION [FUNCTION ...] --tests TEST [TEST ...]
-                            [--timeout SECONDS] [--out TABLE.json]
+                            [--out TABLE.json]
 
 Run from the root of the repository.  MODULE is a source file, for example
 src/signedkn/search.py, and each FUNCTION a function in it, or a method as
@@ -17,16 +17,17 @@ excluded, gives one mutant with one change:
 The mutant is the function unparsed with its one change, put in place of
 the function's lines in a copy of the repository; the rest of the file,
 comments included, is left as it is.  The unchanged function, unparsed the
-same way, must pass first.  Each mutant then runs as
+same way, must pass first, and its run's time sets the timeout: ten times
+as long.  Each mutant then runs as
 
     python -m pytest -x -q -p no:cacheprovider TEST ...
 
-in the copy, with --pythonpath (default src) on PYTHONPATH and no bytecode
-written, under --timeout seconds.  A mutant is "killed" when pytest
-fails, "survived" when it passes, and "never ends" when the timeout
-stops it: a mutant that hangs the suite is a fault the suite does not
-report, so it is not counted as killed.  The JSON table goes to --out, or
-to stdout, and one progress line per mutant to stderr.
+in the copy, with its src on PYTHONPATH and no bytecode written, under
+that timeout.  A mutant is "killed" when pytest fails, "survived" when it
+passes, and "never ends" when the timeout stops it: a mutant that hangs
+the suite is a fault the suite does not report, so it is not counted as
+killed.  The JSON table goes to --out, or to stdout, and one progress
+line per mutant to stderr.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ COMPARISONS = {
     ast.NotEq: ast.Eq,
 }
 CONSTANTS = (1, 2, 4)
+# a mutant may run this many times as long as the unchanged function's run
+TIMEOUT_FACTOR = 10
 UFUNCS = {
     "bitwise_or": "bitwise_xor",
     "bitwise_xor": "bitwise_or",
@@ -133,13 +136,11 @@ def spliced(lines: list[str], func: ast.FunctionDef) -> str:
     return "".join(lines[: func.lineno - 1]) + text + "\n" + "".join(lines[func.end_lineno :])
 
 
-def run_tests(
-    root: Path, tests: list[str], pythonpath: str, timeout: float
-) -> tuple[str, str, float]:
+def run_tests(root: Path, tests: list[str], timeout: float | None) -> tuple[str, str, float]:
     """(status, first failure line, seconds) of one pytest run in root."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / pythonpath), os.environ.get("PYTHONPATH")) if p
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
     )
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
@@ -171,8 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module")
     parser.add_argument("functions", nargs="+")
     parser.add_argument("--tests", nargs="+", required=True)
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--pythonpath", default="src")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     # stopped by a signal, the runner still removes its copy of the repository
@@ -180,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
 
     source = Path(args.module).read_text()
     lines = source.splitlines(keepends=True)
-    table = []
+    table, timeouts = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(
@@ -190,13 +189,13 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
         target = root / args.module
-        run_args = (root, args.tests, args.pythonpath, args.timeout)
         for name in args.functions:
             func = find_function(ast.parse(source), name)
             target.write_text(spliced(lines, func))
-            status, failure, _ = run_tests(*run_args)
+            status, failure, seconds = run_tests(root, args.tests, None)
             if status != "survived":
                 raise SystemExit(f"{name} unparsed but unchanged does not pass: {failure}")
+            timeouts[name] = timeout = round(TIMEOUT_FACTOR * seconds, 1)
             nodes = body_nodes(func)
             sites = [(i, m) for i, node in enumerate(nodes) for m in mutations(node)]
             for i, (label, change) in sites:
@@ -205,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                 node = body_nodes(mutant)[i]
                 apply(node, change)
                 target.write_text(spliced(lines, mutant))
-                status, failure, seconds = run_tests(*run_args)
+                status, failure, seconds = run_tests(root, args.tests, timeout)
                 row = {
                     "function": name,
                     "line": node.lineno,
@@ -228,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     result = {
         "module": args.module,
         "tests": args.tests,
-        "timeout_s": args.timeout,
+        "timeout_s": timeouts,
         "total": len(table),
         **counts,
         "by_function": by_function,
