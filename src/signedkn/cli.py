@@ -268,6 +268,12 @@ def _cmd_climb(args) -> tuple[int, str]:
     rng = random.Random(args.seed)
     start = random_tree_with_leaf_count(args.n, args.k, rng)
     final, trace = hill_climb(start, max_steps=args.max_steps)
+    if args.format == "csv":
+        rows = [
+            [st.step, st.kind, " ".join(str(v) for v in st.vertices), st.lambda1]
+            for st in trace
+        ]
+        return 0, _csv(["step", "kind", "vertices", "lambda1"], rows)
     final_rec = {
         "n": args.n,
         "k": args.k,
@@ -278,12 +284,6 @@ def _cmd_climb(args) -> tuple[int, str]:
         "final_lambda1": tree_index(final),
         "steps": len(trace),
     }
-    if args.format == "csv":
-        rows = [
-            [st.step, st.kind, " ".join(str(v) for v in st.vertices), st.lambda1]
-            for st in trace
-        ]
-        return 0, _csv(["step", "kind", "vertices", "lambda1"], rows)
     if args.format == "json":
         lines = [json.dumps(vars(st)) for st in trace]
         lines.append(json.dumps({"final": final_rec}))

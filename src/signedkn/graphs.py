@@ -148,7 +148,6 @@ def prufer_encode(t: Tree) -> PruferSequence:
         nb = next(iter(adj[leaf]))
         out.append(nb)
         adj[nb].discard(leaf)
-        adj[leaf].clear()
         if len(adj[nb]) == 1:
             heapq.heappush(heap, nb)
     return PruferSequence(tuple(out))

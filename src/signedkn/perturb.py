@@ -186,12 +186,13 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
     the same number of leaves, as rotation moves sorted by vertex tuple.
 
     Adding cd and removing the edge ab of the c-d path, a the end nearer c,
-    keeps the leaf count iff as many of a, b go from degree 2 to 1 as of
-    c, d from 1 to 2; a vertex shared by both edges keeps its degree.  The
-    move is type_i (c, d, b) when a == c, type_i (d, c, a) when b == d, and
-    type_ii (c, d, a, b) otherwise.  Each move and its tree are built when
-    the caller reaches them, so a climb that accepts a move early builds
-    none of the ones after it.
+    keeps the leaf count iff as many of a, b drop from degree 2 to 1 as of
+    c, d rise from 1 to 2, where a vertex shared by both edges keeps its
+    degree.  The move is type_i (c, d, b) when a == c, type_i (d, c, a)
+    when b == d, and type_ii (c, d, a, b) otherwise.  The moves are read
+    off the degrees, and each move and its tree are built only when the
+    caller reaches them, so a climb that accepts a move early builds none
+    of the ones after it.
     """
     n = t.n
     deg = t.degrees()
@@ -205,14 +206,12 @@ def _candidate_moves(t: Tree) -> Iterator[tuple[RotationMove, Tree]]:
             while j:
                 j = up[j]
                 a = order[j]
-                if a == c:
-                    if (deg[b] == 2) == (deg[d] == 1):
-                        labels.append((c, d, b))
-                elif b == d:
-                    if (deg[a] == 2) == (deg[c] == 1):
-                        labels.append((d, c, a))
-                elif (deg[a] == 2) + (deg[b] == 2) == (deg[c] == 1) + (deg[d] == 1):
-                    labels.append((c, d, a, b))
+                drop = (deg[a] == 2 and a != c) + (deg[b] == 2 and b != d)
+                rise = (deg[c] == 1 and a != c) + (deg[d] == 1 and b != d)
+                if drop == rise:
+                    labels.append(
+                        (c, d, b) if a == c else (d, c, a) if b == d else (c, d, a, b)
+                    )
                 b = a
     for verts in sorted(labels):
         move = RotationMove(verts)

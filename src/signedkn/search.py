@@ -4,22 +4,16 @@ double-star chain.
 
 Two independent enumeration routes are kept deliberately:
 
-  (a) decode every Prufer sequence and deduplicate by canonical code
-      (supported for n <= 9; the n=9 sweep covers 9**7 sequences).  A
-      numpy kernel, _peel, decodes a block of sequences at a time and
-      keys each tree by its Matula number rooted at n-1 (D. W. Matula,
-      "A natural rooted tree enumeration by prime factorization", SIAM
-      Rev. 10, 1968), equal exactly for rooted-isomorphic trees.  Only the
-      first sequence of each rooted class goes through the scalar
-      prufer_decode and canonical_code.  The route never calls the
-      generator, so its agreement with (b) checks both;
-  (b) canonical free-tree generation for all n <= 12: an in-house
+  (a) decode every Prufer sequence (n <= 9; the n=9 sweep covers 9**7
+      sequences) and deduplicate, keying each tree by its Matula number
+      rooted at n-1 (D. W. Matula, "A natural rooted tree enumeration by
+      prime factorization", SIAM Rev. 10, 1968), equal exactly for
+      rooted-isomorphic trees.  The route never calls the generator, so
+      its agreement with (b) checks both;
+  (b) canonical free-tree generation for all n <= 12, by an in-house
       generator of the level sequences of Wright, Richmond, Odlyzko and
-      McKay yields one parent array per free tree.  It runs once per n in
-      a process: the first call at n buckets the arrays by the leaf count
-      read from each and checks the class count, and functools.cache
-      keeps the buckets for every later call at n.  A Tree is built and
-      canonicalised only for the classes a caller keeps.
+      McKay (1986), which the tests check against networkx's
+      implementation of the same algorithm for n <= 14.
 
 enumerate_tree_classes(n, method, k) is the one entry to both routes, with
 or without a leaf count k.  Each route checks its class count against

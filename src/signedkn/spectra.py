@@ -3,20 +3,11 @@ spectral quantities of signed complete graphs: the Spectrum with its index
 (largest eigenvalue), least eigenvalue and spectral radius, and the top
 eigenvector with a fixed sign convention.
 
-λ1 of (K_n, T-) comes from tree elimination (Jacobs & Trevisan, "Locating
-the eigenvalues of trees", Linear Algebra Appl. 434, 2011) with one
-bordering vertex for the all-ones part: the tree's leaves are eliminated
-first, so each pivot costs O(1).  tree_eigs_above counts the eigenvalues
-above a rational x exactly, in Python integers with one exact division per
-vertex, as in Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
-tree_indices finds λ1 of a stack of same-size trees by multisection on the
-float counts, all trees and points at once.  tree_index, spectrum_of and
-top_eigenvector solve one matrix by Jacobi.
-
-The Jacobi sweeps turn only the matrix and log each rotation they apply;
-a Spectrum's eigenvectors come from replaying that log on the identity
-when .vectors is first read, so a caller that reads only eigenvalues,
-as tree_index and the spectrum command do, never pays for them.
+λ1 of (K_n, T-) also comes without an eigensolve, from tree elimination
+(Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
+Appl. 434, 2011): counted exactly by tree_eigs_above, after Bareiss
+(Math. Comp. 22, 1968), and found by float multisection in tree_indices.
+tree_index, spectrum_of and top_eigenvector solve by Jacobi.
 """
 
 from __future__ import annotations
@@ -67,7 +58,16 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=np.float64)
+        try:
+            raw = np.asarray(self.entries)
+        except ValueError as exc:
+            raise DomainError(f"matrix rows must all have one length: {exc}") from None
+        if raw.dtype.kind not in "biufO":
+            raise DomainError(f"matrix entries must be real numbers, got dtype {raw.dtype}")
+        try:
+            a = np.array(raw, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"matrix entries must be real numbers: {exc}") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantViolationError(
                 f"expected a square matrix, got shape {a.shape}"
@@ -422,8 +422,12 @@ def tree_eigs_above(t: Tree, x: Fraction | float | int) -> int | None:
     A zero pivot needs an integer x: it makes -1-x an eigenvalue of 2B on a
     subtree, or x one of A, and a rational algebraic integer is an integer.
     """
+    if isinstance(x, str):
+        raise DomainError(f"x must be a number, not the string {x!r}")
     try:
         num, den = Fraction(x).as_integer_ratio()
+    except TypeError:
+        raise DomainError(f"x must be an int, a float or a Fraction, got {x!r}") from None
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"x must be finite, got {x!r}") from exc
     up = t._walk[1]

@@ -14,7 +14,6 @@ import pytest
 from oracles import is_broom_shaped
 from signedkn import (
     PruferSequence,
-    RotationMove,
     SymMatrix,
     apply_rotation,
     build_broom,
@@ -37,36 +36,13 @@ from signedkn import (
     verify_max_index,
 )
 from signedkn.search import FREE_TREE_COUNTS
+from test_perturb import random_move
 
 
 def _line(num: int, desc: str, ok: bool, detail: str) -> None:
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num}: {desc} ({detail})")
     assert ok, f"criterion {num}: {desc} ({detail})"
-
-
-def _random_move(t, rnd, kind):
-    n = t.n
-    adj = t.adjacency()
-    if kind == "type_i":
-        options = [
-            (r, s, x)
-            for r in range(n)
-            for x in adj[r]
-            for s in range(n)
-            if s != r and s not in adj[r]
-        ]
-    else:
-        options = [
-            (r, s, x, u)
-            for (x, u) in sorted(t.edges)
-            for r in range(n)
-            for s in range(r + 1, n)
-            if len({r, s, x, u}) == 4 and (r, s) not in t.edges
-        ]
-    if not options:
-        return None
-    return RotationMove(rnd.choice(options))
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +157,7 @@ def test_criterion_06_rotation_monotonicity():
         n = rnd.randrange(5, 13)
         t = random_tree(n, rnd)
         g = signed_complete_from_tree(t)
-        move = _random_move(t, rnd, rnd.choice(("type_i", "type_ii")))
+        move = random_move(t, rnd, rnd.choice(("type_i", "type_ii")))
         if move is None:
             continue
         top = top_eigenvector(g)

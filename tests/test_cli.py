@@ -283,6 +283,18 @@ def test_climb_panel_solves_start_accepted_and_final(capsys, monkeypatch):
     assert len(calls) == 7 + steps + 7
 
 
+def test_climb_csv_solves_no_final_record(capsys, monkeypatch):
+    calls = []
+    solve = spectra.eigen_decompose
+    monkeypatch.setattr(spectra, "eigen_decompose", lambda m: calls.append(m.n) or solve(m))
+    assert run(["climb", "--n", "12", "--k", "4", "--seed", "15", "--format", "csv"]) == 0
+    trace = lines_of(capsys)[1:]
+    # csv prints only the steps: the start and each accepted move are solved,
+    # and the final tree, which it never prints, is not
+    assert len(trace) == 4
+    assert len(calls) == len(trace) + 1
+
+
 # ------------------------------------------------------------- enumerate
 
 

@@ -10,7 +10,8 @@ be referenced, as a name or an attribute, somewhere in the package.
 
 Doc drift: every name README's entry-point list gives for a module must
 exist in that module, and every `$ signedkn …` example in README's fenced
-blocks must show what the command prints.
+blocks must show what the command prints.  README names no private
+identifier in backticks: how the code works lives in its docstrings.
 
 One output owner: among the package modules only `cli.py` may import
 `json`, `csv` or `io`; the library returns data and the CLI formats it.
@@ -323,6 +324,28 @@ def test_readme_entry_points_exist():
         mod = importlib.import_module(f"signedkn.{module}")
         assert names, module
         assert [n for n in names if not hasattr(mod, n)] == [], module
+
+
+def readme_private_names(text: str) -> list[str]:
+    """Names in text's inline code spans, outside fenced blocks, that start
+    with `_` or have a `._` part."""
+    text = re.sub(r"^```.*?^```$", "", text, flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    names = [name for span in spans for name in re.findall(r"[\w.]+", span)]
+    return [name for name in names if name.startswith("_") or "._" in name]
+
+
+def test_readme_names_no_private_identifier():
+    assert readme_private_names((ROOT / "README.md").read_text()) == []
+
+
+def test_guard_flags_a_private_name_in_readme():
+    text = (
+        "`_peel` and `spectra._MAX_PASSES`, a call `f(n,\n  _x)` over two lines,\n"
+        "not `tree_indices`, `Spectrum.vectors`, `tests/oracles.is_broom_shaped`\n"
+        "or a bare _name, nor a fenced block:\n```\n`_fenced`\n```\n"
+    )
+    assert readme_private_names(text) == ["_peel", "spectra._MAX_PASSES", "_x"]
 
 
 def readme_examples(text: str) -> list[tuple[list[str], list[str], bool]]:

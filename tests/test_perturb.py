@@ -40,7 +40,7 @@ from signedkn import (
 )
 from signedkn import perturb, spectra
 from signedkn.cli import run
-from signedkn.perturb import IMPROVE_TOL, _candidate_moves, _classify
+from signedkn.perturb import IMPROVE_TOL, RESIDUAL_TOL, ZERO_TOL, _candidate_moves, _classify
 
 
 def random_move(t, rnd, kind):
@@ -59,11 +59,10 @@ def random_move(t, rnd, kind):
     else:
         options = [
             (r, s, x, u)
-            for (x, u) in t.edges
+            for (x, u) in sorted(t.edges)
             for r in range(n)
             for s in range(r + 1, n)
-            if len({r, s, x, u}) == 4
-            and (r, s) not in t.edges
+            if len({r, s, x, u}) == 4 and (r, s) not in t.edges
         ]
     if not options:
         return None
@@ -181,6 +180,20 @@ def test_apply_rotation_changes_exactly_two_edges(args):
         ("type_ii", (-0.3, 0.4, 0.1, 0.2), (True, True)),
         ("type_ii", (0.2, 0.3, 0.3, 0.2), (True, True)),
         ("type_ii", (1e-14, 1e-14, 1e-15, 1e-16), (True, False)),
+        # the band's edge is in it: x_t x_u - x_r x_s at exactly -ZERO_TOL
+        # is weakly satisfied, and entries at most ZERO_TOL are all zero
+        ("type_ii", (0.0, 0.0, -ZERO_TOL, 1.0), (True, True)),
+        ("type_ii", (0.0, 0.0, 0.0, ZERO_TOL), (True, False)),
+        # and x_r or x_t - x_s at exactly -ZERO_TOL is weakly up, at
+        # +ZERO_TOL weakly down, and never strict alone
+        ("type_i", (-ZERO_TOL, 0.0, 1.0), (True, True)),
+        ("type_i", (1.0, 0.0, -ZERO_TOL), (True, True)),
+        ("type_i", (ZERO_TOL, 0.0, -1.0), (True, True)),
+        ("type_i", (-1.0, 0.0, ZERO_TOL), (True, True)),
+        ("type_i", (ZERO_TOL, 0.0, 0.0), (True, False)),
+        ("type_i", (0.0, 0.0, ZERO_TOL), (True, False)),
+        ("type_i", (-ZERO_TOL, 0.0, 0.0), (True, False)),
+        ("type_i", (0.0, 0.0, -ZERO_TOL), (True, False)),
     ],
 )
 def test_classify_truth_table(kind, entries, want):
@@ -228,7 +241,7 @@ def test_check_precondition_scale_invariant():
             assert check_precondition(g, m, factor * x) == report
 
 
-def test_check_precondition_rejects_stale_vector():
+def test_check_precondition_rejects_stale_vector(monkeypatch):
     g = signed_complete_from_tree(build_path(6))
     m = RotationMove((1, 3, 0))
     with pytest.raises(StaleEigenvectorError) as exc:
@@ -238,6 +251,13 @@ def test_check_precondition_rejects_stale_vector():
         check_precondition(g, m, np.zeros(6))
     with pytest.raises(DomainError):
         check_precondition(g, m, np.ones(5))
+    # a residual of exactly RESIDUAL_TOL passes, the next float up does not
+    x = top_eigenvector(g).vector
+    monkeypatch.setattr(perturb, "residual", lambda *args: RESIDUAL_TOL)
+    check_precondition(g, m, x)
+    monkeypatch.setattr(perturb, "residual", lambda *args: math.nextafter(RESIDUAL_TOL, 1.0))
+    with pytest.raises(StaleEigenvectorError):
+        check_precondition(g, m, x)
 
 
 @pytest.mark.filterwarnings("error")

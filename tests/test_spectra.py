@@ -77,7 +77,26 @@ def test_symmatrix_validation():
         SymMatrix(np.zeros((2, 3)))
     with pytest.raises(InvariantViolationError):
         SymMatrix(np.zeros(3))
+    for entries, fault in (
+        ([["a"]], "real numbers"),
+        ([["1"]], "real numbers"),
+        ([[1j]], "real numbers"),
+        (np.array([[1j]]), "real numbers"),
+        ([[0, Fraction(1)], ["x", 0]], "real numbers"),
+        ([[0, Fraction(1)], [1j, 0]], "real numbers"),
+        ([[0, 1], [1]], "one length"),
+    ):
+        with pytest.raises(DomainError, match=fault):
+            SymMatrix(entries)
     assert SymMatrix(np.zeros((4, 4))).n == 4
+    # real array-likes of any numeric type are read as floats
+    for entries in (
+        [[0, 1], [1, 0]],
+        [[False, True], [True, False]],
+        [[0, Fraction(1)], [Fraction(1), 0]],
+        np.eye(2, dtype=np.float32)[::-1],
+    ):
+        assert SymMatrix(entries).entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_symmatrix_copies_and_freezes():
@@ -566,10 +585,20 @@ def test_tree_eigs_above_matches_the_fraction_oracle(tx):
 
 
 def test_tree_eigs_above_needs_finite_x():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="finite"):
         tree_eigs_above(build_path(4), math.inf)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="finite"):
         tree_eigs_above(build_path(4), math.nan)
+    # a string is not parsed, even one that spells a rational
+    for x in ("1/3", "abc"):
+        with pytest.raises(DomainError, match="string"):
+            tree_eigs_above(build_broom(8, 4), x)
+    for x in (None, 1j):
+        with pytest.raises(DomainError, match="an int, a float or a Fraction"):
+            tree_eigs_above(build_broom(8, 4), x)
+    # ints, Fractions, finite floats and numpy scalars of those kinds count
+    for x in (3, Fraction(1, 3), 1 / 3, np.float64(1 / 3), np.int64(3)):
+        assert tree_eigs_above(build_broom(8, 4), x) == (1 if x == 3 else 3)
 
 
 # ---------------------------------------------------------------- λ1 by elimination
